@@ -56,6 +56,19 @@ double time_region(mps::Comm& comm, Body&& body) {
   return timer.seconds();
 }
 
+/// Seconds per kernel of one ST-HOSVD, the Fig. 8 stacked-bar blocks.
+struct KernelSeconds {
+  double gram = 0.0;
+  double evecs = 0.0;
+  double ttm = 0.0;
+};
+
+/// Reads st_hosvd's Gram / Evecs / TTM spans from the stopped
+/// obs::TraceSession. Each block is the slowest rank's summed span seconds
+/// (the bottleneck view the paper plots); all zero when tracing is
+/// compiled out.
+[[nodiscard]] KernelSeconds traced_kernel_seconds();
+
 /// Estimate this machine's per-core GEMM throughput (flops/s) for the
 /// %-of-peak columns (paper reports % of the Ivy Bridge 19.2 GFLOPS core
 /// peak; we report % of measured single-core GEMM peak instead).

@@ -2,7 +2,8 @@
 /// \brief Reproduces Fig. 8a: relative ST-HOSVD run time across processor
 /// grid configurations for a 4-way cubical tensor compressed 4x per mode
 /// (paper: 384^4 -> 96^4 on 384 cores; here scaled to thread-ranks on one
-/// node). Each bar is broken down into Gram / Evecs / TTM time.
+/// node). Each bar is broken down into Gram / Evecs / TTM time, each the
+/// slowest rank's summed st_hosvd span seconds.
 
 #include <algorithm>
 
@@ -10,6 +11,7 @@
 #include "core/st_hosvd.hpp"
 #include "data/synthetic.hpp"
 #include "dist/grid.hpp"
+#include "obs/trace.hpp"
 #include "util/cli.hpp"
 
 using namespace ptucker;
@@ -74,33 +76,27 @@ int main(int argc, char** argv) {
   struct Result {
     std::vector<int> shape;
     double total = 0.0;
-    double gram = 0.0;
-    double evecs = 0.0;
-    double ttm = 0.0;
+    bench::KernelSeconds kernels;
   };
   std::vector<Result> results;
 
   for (const auto& shape : sweep) {
     Result res;
     res.shape = shape;
+    obs::TraceSession::start();
     mps::run(p, [&](mps::Comm& comm) {
       auto grid = dist::make_grid(comm, shape);
       const dist::DistTensor x =
           data::make_low_rank(grid, dims, ranks, 5, 0.01);
-      util::KernelTimers timers;
       core::SthosvdOptions opts;
       opts.fixed_ranks = ranks;
-      opts.timers = &timers;
       const double t = bench::time_region(comm, [&] {
         (void)core::st_hosvd(x, opts);
       });
-      if (comm.rank() == 0) {
-        res.total = t;
-        res.gram = timers.total("Gram");
-        res.evecs = timers.total("Evecs");
-        res.ttm = timers.total("TTM");
-      }
+      if (comm.rank() == 0) res.total = t;
     });
+    obs::TraceSession::stop();
+    res.kernels = bench::traced_kernel_seconds();
     results.push_back(res);
   }
 
@@ -114,8 +110,9 @@ int main(int argc, char** argv) {
   for (const auto& r : results) {
     table.add_row({bench::shape_name(r.shape), util::Table::fmt(r.total, 3),
                    util::Table::fmt(r.total / best, 2),
-                   util::Table::fmt(r.gram, 3), util::Table::fmt(r.evecs, 3),
-                   util::Table::fmt(r.ttm, 3)});
+                   util::Table::fmt(r.kernels.gram, 3),
+                   util::Table::fmt(r.kernels.evecs, 3),
+                   util::Table::fmt(r.kernels.ttm, 3)});
   }
   std::printf("%s", table.str().c_str());
   bench::paper_note(

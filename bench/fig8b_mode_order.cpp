@@ -3,7 +3,8 @@
 /// orders for a tensor whose first mode is 10x smaller than the rest
 /// (paper: 25x250x250x250 -> 10x10x100x100 on a 2x2x2x2 grid; the optimal
 /// order starts with the *second* dimension, beating the greedy
-/// smallest-first heuristic).
+/// smallest-first heuristic). The Gram / Evecs / TTM columns are the
+/// slowest rank's summed st_hosvd span seconds.
 
 #include <algorithm>
 #include <numeric>
@@ -12,6 +13,7 @@
 #include "core/st_hosvd.hpp"
 #include "data/synthetic.hpp"
 #include "dist/grid.hpp"
+#include "obs/trace.hpp"
 #include "util/cli.hpp"
 
 using namespace ptucker;
@@ -41,35 +43,29 @@ int main(int argc, char** argv) {
   struct Result {
     std::vector<int> order;
     double total = 0.0;
-    double gram = 0.0;
-    double evecs = 0.0;
-    double ttm = 0.0;
+    bench::KernelSeconds kernels;
   };
   std::vector<Result> results;
 
   do {
     Result res;
     res.order = order;
+    obs::TraceSession::start();
     mps::run(p, [&](mps::Comm& comm) {
       auto grid = dist::make_grid(comm, shape);
       const dist::DistTensor x =
           data::make_low_rank(grid, dims, ranks, 9, 0.01);
-      util::KernelTimers timers;
       core::SthosvdOptions opts;
       opts.fixed_ranks = ranks;
       opts.order_strategy = core::ModeOrderStrategy::Custom;
       opts.custom_order = order;
-      opts.timers = &timers;
       const double t = bench::time_region(comm, [&] {
         (void)core::st_hosvd(x, opts);
       });
-      if (comm.rank() == 0) {
-        res.total = t;
-        res.gram = timers.total("Gram");
-        res.evecs = timers.total("Evecs");
-        res.ttm = timers.total("TTM");
-      }
+      if (comm.rank() == 0) res.total = t;
     });
+    obs::TraceSession::stop();
+    res.kernels = bench::traced_kernel_seconds();
     results.push_back(res);
   } while (std::next_permutation(order.begin(), order.end()));
 
@@ -85,8 +81,9 @@ int main(int argc, char** argv) {
     for (int n : r.order) name += std::to_string(n + 1);
     table.add_row({name, util::Table::fmt(r.total, 3),
                    util::Table::fmt(r.total / best, 2),
-                   util::Table::fmt(r.gram, 3), util::Table::fmt(r.evecs, 3),
-                   util::Table::fmt(r.ttm, 3)});
+                   util::Table::fmt(r.kernels.gram, 3),
+                   util::Table::fmt(r.kernels.evecs, 3),
+                   util::Table::fmt(r.kernels.ttm, 3)});
   }
   std::printf("%s", table.str().c_str());
   bench::paper_note(

@@ -50,8 +50,7 @@ HooiResult hooi(const DistTensor& x, const SthosvdOptions& init_options,
             &transposed[static_cast<std::size_t>(m)];
         ttm_order.push_back(m);
       }
-      y = dist::ttm_chain(x, ptrs, ttm_order, options.ttm_algo,
-                          options.timers);
+      y = dist::ttm_chain(x, ptrs, ttm_order, options.ttm_algo);
 
       const std::size_t rank = ranks[static_cast<std::size_t>(n)];
       const dist::RankSelection select = dist::RankSelection::fixed_rank(rank);
@@ -60,15 +59,12 @@ HooiResult hooi(const DistTensor& x, const SthosvdOptions& init_options,
       dist::FactorResult factor;
       if (route == FactorRoute::Randomized) {
         // Fixed-rank selection: the sketch result is always certified.
-        factor = dist::factor_via_sketch(y, n, select, options.sketch,
-                                         options.timers)
-                     .factor;
+        factor = dist::factor_via_sketch(y, n, select, options.sketch).factor;
       } else if (route == FactorRoute::Tsqr) {
-        factor = dist::factor_via_tsqr(y, n, select, options.timers);
+        factor = dist::factor_via_tsqr(y, n, select);
       } else {
-        const dist::GramColumns s =
-            dist::gram(y, n, options.gram_algo, options.timers);
-        factor = dist::eigenvectors(s, y.grid(), n, select, options.timers);
+        const dist::GramColumns s = dist::gram(y, n, options.gram_algo);
+        factor = dist::eigenvectors(s, y.grid(), n, select);
       }
       factors[static_cast<std::size_t>(n)] = std::move(factor.u);
     }
@@ -76,8 +72,7 @@ HooiResult hooi(const DistTensor& x, const SthosvdOptions& init_options,
     // (Alg. 2 line 9 exploits this).
     const Matrix ut_last =
         factors[static_cast<std::size_t>(order - 1)].transposed();
-    result.tucker.core =
-        dist::ttm(y, ut_last, order - 1, options.ttm_algo, options.timers);
+    result.tucker.core = dist::ttm(y, ut_last, order - 1, options.ttm_algo);
 
     const double new_err_sq = rel_error_sq(result.tucker.core.norm_squared());
     result.error_history.push_back(std::sqrt(new_err_sq));

@@ -29,7 +29,6 @@ struct HooiOptions {
   /// Knobs for FactorMethod::Randomized. HOOI sweeps use fixed-rank
   /// selection, so the sketch never needs the eps-tail fallback here.
   dist::SketchOptions sketch;
-  util::KernelTimers* timers = nullptr;
 };
 
 struct HooiResult {

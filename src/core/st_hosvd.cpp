@@ -80,8 +80,9 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
   double tail_total = 0.0;
 
   for (int n : result.mode_order_used) {
-    // Span names match the KernelTimers buckets so a trace of one run
-    // shows the Fig. 8 decomposition as a timeline, mode in the arg.
+    // These spans are the only per-kernel timing record: one run's trace
+    // is the Fig. 8 per-mode Gram/Evecs/TTM breakdown, mode in the arg.
+    // Their names and nesting are a contract that benches read.
     obs::Span span_mode("st_hosvd.mode", n);
     const std::size_t fixed_rank =
         options.fixed_ranks.empty()
@@ -99,8 +100,7 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
     if (route == FactorRoute::Randomized) {
       dist::SketchFactorResult sk = [&] {
         obs::Span span("Sketch", n);
-        return dist::factor_via_sketch(y, n, select, options.sketch,
-                                       options.timers);
+        return dist::factor_via_sketch(y, n, select, options.sketch);
       }();
       result.sketches.push_back({n, sk.seed, sk.width, sk.power_iterations,
                                  !sk.certified});
@@ -118,15 +118,15 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
     }
     if (route == FactorRoute::Tsqr) {
       obs::Span span("TSQR", n);
-      factor = dist::factor_via_tsqr(y, n, select, options.timers);
+      factor = dist::factor_via_tsqr(y, n, select);
       result.tsqr_modes.push_back(n);
     } else if (route == FactorRoute::Gram) {
       const dist::GramColumns s = [&] {
         obs::Span span("Gram", n);
-        return dist::gram(y, n, options.gram_algo, options.timers);
+        return dist::gram(y, n, options.gram_algo);
       }();
       obs::Span span("Evecs", n);
-      factor = dist::eigenvectors(s, y.grid(), n, select, options.timers);
+      factor = dist::eigenvectors(s, y.grid(), n, select);
     }
     result.mode_routes[static_cast<std::size_t>(n)] = route;
 
@@ -141,7 +141,7 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
     const Matrix ut = factor.u.transposed();
     {
       obs::Span span("TTM", n);
-      y = dist::ttm(y, ut, n, options.ttm_algo, options.timers);
+      y = dist::ttm(y, ut, n, options.ttm_algo);
     }
     result.tucker.factors[static_cast<std::size_t>(n)] = std::move(factor.u);
   }

@@ -92,9 +92,6 @@ struct SthosvdOptions {
   /// Knobs for FactorMethod::Randomized (seed, oversampling, power
   /// iterations) and the Auto gate for it.
   dist::SketchOptions sketch;
-
-  /// Optional per-kernel per-mode timing sink (Fig. 8 breakdowns).
-  util::KernelTimers* timers = nullptr;
 };
 
 struct SthosvdResult {

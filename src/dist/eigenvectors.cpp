@@ -52,11 +52,9 @@ void canonicalize_columns(tensor::Matrix& u) {
 }  // namespace detail
 
 FactorResult eigenvectors(const GramColumns& s, const mps::CartGrid& grid,
-                          int mode, const RankSelection& select,
-                          util::KernelTimers* timers) {
+                          int mode, const RankSelection& select) {
   PT_REQUIRE(mode >= 0 && mode < grid.order(),
              "eigenvectors: mode out of range");
-  util::ScopedKernelTimer scope(timers, "Evecs", mode);
 
   const std::size_t jn = s.cols.rows();
   const int pn = grid.extent(mode);

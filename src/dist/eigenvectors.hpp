@@ -62,8 +62,7 @@ struct FactorResult {
 /// returns bitwise-identical results.
 [[nodiscard]] FactorResult eigenvectors(const GramColumns& s,
                                         const mps::CartGrid& grid, int mode,
-                                        const RankSelection& select,
-                                        util::KernelTimers* timers = nullptr);
+                                        const RankSelection& select);
 
 namespace detail {
 /// Flip each column's sign so its largest-magnitude entry is positive (the

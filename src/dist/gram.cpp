@@ -30,10 +30,8 @@ tensor::Dims block_dims_at(const DistTensor& x, int mode, int coord) {
 
 }  // namespace
 
-GramColumns gram(const DistTensor& x, int mode, GramAlgo algo,
-                 util::KernelTimers* timers) {
+GramColumns gram(const DistTensor& x, int mode, GramAlgo algo) {
   PT_REQUIRE(mode >= 0 && mode < x.order(), "gram: mode out of range");
-  util::ScopedKernelTimer scope(timers, "Gram", mode);
 
   const std::size_t jn = x.global_dim(mode);
   const util::Range my_range = x.mode_range(mode);

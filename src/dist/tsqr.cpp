@@ -125,10 +125,8 @@ tensor::Matrix combine_r(const tensor::Matrix& top,
 
 }  // namespace
 
-tensor::Matrix tsqr_r_factor(const DistTensor& x, int mode,
-                             util::KernelTimers* timers) {
+tensor::Matrix tsqr_r_factor(const DistTensor& x, int mode) {
   PT_REQUIRE(mode >= 0 && mode < x.order(), "tsqr: mode out of range");
-  util::ScopedKernelTimer scope(timers, "TSQR", mode);
 
   const std::size_t jn = x.global_dim(mode);
   const tensor::Matrix slab = assemble_slab(x, mode);
@@ -168,10 +166,8 @@ tensor::Matrix tsqr_r_factor(const DistTensor& x, int mode,
 }
 
 FactorResult factor_via_tsqr(const DistTensor& x, int mode,
-                             const RankSelection& select,
-                             util::KernelTimers* timers) {
-  const tensor::Matrix r = tsqr_r_factor(x, mode, timers);
-  util::ScopedKernelTimer scope(timers, "Evecs", mode);
+                             const RankSelection& select) {
+  const tensor::Matrix r = tsqr_r_factor(x, mode);
   const std::size_t jn = r.rows();
 
   // Y(n) = R^T Q^T, so the left singular vectors of Y(n) are those of R^T;

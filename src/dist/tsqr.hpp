@@ -21,16 +21,12 @@ namespace ptucker::dist {
 
 /// Collective: the Jn x Jn R factor of the transposed mode-n unfolding,
 /// replicated on every rank. Valid for any grid (any Pn).
-[[nodiscard]] tensor::Matrix tsqr_r_factor(const DistTensor& x, int mode,
-                                           util::KernelTimers* timers =
-                                               nullptr);
+[[nodiscard]] tensor::Matrix tsqr_r_factor(const DistTensor& x, int mode);
 
 /// Collective: factor matrix via TSQR + small SVD of R^T. Returns the same
 /// FactorResult shape as eigenvectors(): eigenvalues are squared singular
 /// values (full length Jn, descending), U is Jn x rank, sign-canonicalized.
 [[nodiscard]] FactorResult factor_via_tsqr(const DistTensor& x, int mode,
-                                           const RankSelection& select,
-                                           util::KernelTimers* timers =
-                                               nullptr);
+                                           const RankSelection& select);
 
 }  // namespace ptucker::dist

@@ -158,13 +158,12 @@ void ttm_reduce_scatter(const DistTensor& x, const tensor::Matrix& m_cols,
 }  // namespace
 
 DistTensor ttm(const DistTensor& x, const tensor::Matrix& m, int mode,
-               TtmAlgo algo, util::KernelTimers* timers) {
+               TtmAlgo algo) {
   PT_REQUIRE(mode >= 0 && mode < x.order(), "ttm: mode out of range");
   const std::size_t jn = x.global_dim(mode);
   PT_REQUIRE(m.cols() == jn, "ttm: matrix has "
                                  << m.cols() << " columns but mode " << mode
                                  << " has global extent " << jn);
-  util::ScopedKernelTimer scope(timers, "TTM", mode);
 
   const std::size_t k = m.rows();
   tensor::Dims out_dims = x.global_dims();
@@ -220,8 +219,7 @@ DistTensor ttm(const DistTensor& x, const tensor::Matrix& m, int mode,
 
 DistTensor ttm_chain(const DistTensor& x,
                      const std::vector<const tensor::Matrix*>& ms,
-                     const std::vector<int>& order, TtmAlgo algo,
-                     util::KernelTimers* timers) {
+                     const std::vector<int>& order, TtmAlgo algo) {
   PT_REQUIRE(ms.size() == static_cast<std::size_t>(x.order()),
              "ttm_chain: need one matrix slot per mode");
   DistTensor result;
@@ -230,7 +228,7 @@ DistTensor ttm_chain(const DistTensor& x,
     PT_REQUIRE(n >= 0 && n < x.order(), "ttm_chain: mode out of range");
     const tensor::Matrix* m = ms[static_cast<std::size_t>(n)];
     PT_REQUIRE(m != nullptr, "ttm_chain: no matrix for mode " << n);
-    result = ttm(first ? x : result, *m, n, algo, timers);
+    result = ttm(first ? x : result, *m, n, algo);
     first = false;
   }
   if (first) return x.clone();

@@ -22,7 +22,6 @@
 
 #include "dist/dist_tensor.hpp"
 #include "tensor/local_kernels.hpp"
-#include "util/timer.hpp"
 
 namespace ptucker::dist {
 
@@ -36,15 +35,13 @@ enum class TtmAlgo {
 /// reconstruction passes U). The result lives on the same grid with mode n
 /// re-blocked to extent K.
 [[nodiscard]] DistTensor ttm(const DistTensor& x, const tensor::Matrix& m,
-                             int mode, TtmAlgo algo = TtmAlgo::Auto,
-                             util::KernelTimers* timers = nullptr);
+                             int mode, TtmAlgo algo = TtmAlgo::Auto);
 
 /// Collective: apply ttm for each mode listed in \p order, using
 /// ms[mode] (entries for unlisted modes may be null).
 [[nodiscard]] DistTensor ttm_chain(const DistTensor& x,
                                    const std::vector<const tensor::Matrix*>& ms,
                                    const std::vector<int>& order,
-                                   TtmAlgo algo = TtmAlgo::Auto,
-                                   util::KernelTimers* timers = nullptr);
+                                   TtmAlgo algo = TtmAlgo::Auto);
 
 }  // namespace ptucker::dist

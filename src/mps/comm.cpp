@@ -3,46 +3,8 @@
 #include <algorithm>
 
 #include "mps/collectives.hpp"
-#include "obs/registry.hpp"
 
 namespace ptucker::mps {
-
-namespace {
-
-/// Registry handles for per-op message/byte counters, resolved once. The
-/// obs registry is additive to CommStats (which the cost-model tests read):
-/// same numbers, exported under "mps.*" so one snapshot sees the whole
-/// stack.
-struct OpCounterPair {
-  obs::Counter messages;
-  obs::Counter bytes;
-};
-
-struct OpCounterTable {
-  std::array<OpCounterPair, CommStats::kNumOps> per_op;
-  obs::Counter messages;
-  obs::Counter bytes;
-};
-
-OpCounterTable& op_counters() {
-  static OpCounterTable* table = [] {
-    auto* t = new OpCounterTable;
-    for (int i = 0; i < CommStats::kNumOps; ++i) {
-      const std::string base =
-          std::string("mps.") + op_name(static_cast<OpKind>(i));
-      t->per_op[static_cast<std::size_t>(i)].messages =
-          obs::registry().counter(base + ".messages");
-      t->per_op[static_cast<std::size_t>(i)].bytes =
-          obs::registry().counter(base + ".bytes");
-    }
-    t->messages = obs::registry().counter("mps.messages");
-    t->bytes = obs::registry().counter("mps.bytes");
-    return t;
-  }();
-  return *table;
-}
-
-}  // namespace
 
 Comm Comm::world(Universe* universe, int my_world_rank) {
   auto state = std::make_shared<State>();
@@ -70,15 +32,6 @@ void Comm::send_bytes(std::span<const std::byte> buf, int dest,
   msg.tag = tag;
   msg.payload.assign(buf.begin(), buf.end());
   my_stats().record(current_op(), buf.size());
-  if constexpr (obs::kEnabled) {
-    OpCounterTable& oc = op_counters();
-    oc.messages.inc();
-    oc.bytes.add(buf.size());
-    OpCounterPair& pair =
-        oc.per_op[static_cast<std::size_t>(current_op())];
-    pair.messages.inc();
-    pair.bytes.add(buf.size());
-  }
   state_->universe->mailbox(world_rank(dest)).push(std::move(msg));
 }
 
@@ -93,7 +46,7 @@ void Comm::recv_bytes(std::span<std::byte> buf, int src, int tag) const {
                                            << msg.payload.size()
                                            << " (src=" << src
                                            << " tag=" << tag << ")");
-  std::memcpy(buf.data(), msg.payload.data(), buf.size());
+  copy_bytes(buf.data(), msg.payload.data(), buf.size());
 }
 
 std::vector<std::byte> Comm::recv_bytes_any_size(int src, int tag) const {

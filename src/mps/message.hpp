@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace ptucker::mps {
@@ -27,5 +28,12 @@ struct Message {
   /// Payload, always copied on send — ranks never share buffers.
   std::vector<std::byte> payload;
 };
+
+/// std::memcpy that accepts empty ranges. An empty span or vector may hold
+/// a null pointer, and passing one to std::memcpy is undefined even when
+/// \p n is 0, so every payload copy in mps goes through here.
+inline void copy_bytes(void* dst, const void* src, std::size_t n) {
+  if (n != 0) std::memcpy(dst, src, n);
+}
 
 }  // namespace ptucker::mps

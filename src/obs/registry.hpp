@@ -6,13 +6,13 @@
 /// The paper's evaluation lives and dies by attribution — Fig. 8 splits
 /// wall time across Gram/Evecs/TTM, Tab. I counts per-collective words —
 /// and TuckerMPI ships the same per-phase timing/byte reporting as a
-/// first-class feature. Before this layer the repo's counters were
-/// fragmented per subsystem (mps::CommStats, the PanelCache counters, the
-/// executor counters, TimestepReader::file_opens, ...) with no common
-/// export path. obs::Registry unifies them: every subsystem registers its
-/// counters here under a dotted name ("pario.read_bytes",
-/// "serve.cache.hits", "mps.allreduce.bytes") and one
-/// `registry().snapshot()` sees the whole stack.
+/// first-class feature. The registry holds the process-wide tallies that
+/// no per-instance record owns, under dotted names ("pario.read_bytes",
+/// "blas.pool.jobs", "serve.query_us"), so one `registry().snapshot()`
+/// sees them all. Exact per-rank and per-server counts are not mirrored
+/// here: mps::CommStats, serve::CacheCounters and serve::ExecutorCounters
+/// are the only record of those (QueryServer::stats_report() prints the
+/// server's beside the snapshot).
 ///
 /// Design rules:
 ///  - Handles (Counter/Gauge/Histogram) are trivially copyable value types

@@ -2,38 +2,9 @@
 
 #include <algorithm>
 
-#include "obs/registry.hpp"
 #include "util/error.hpp"
 
 namespace ptucker::serve {
-
-namespace {
-
-/// Registry mirrors of the per-shard CacheCounters, aggregated process-wide
-/// under "serve.cache.*" (the per-instance counters() remain the precise
-/// per-cache view; these feed the unified snapshot).
-struct CacheMetrics {
-  obs::Counter lookups;
-  obs::Counter hits;
-  obs::Counter misses;
-  obs::Counter evictions;
-  obs::Counter invalidations;
-};
-
-CacheMetrics& cache_metrics() {
-  static CacheMetrics* m = [] {
-    auto* t = new CacheMetrics;
-    t->lookups = obs::registry().counter("serve.cache.lookups");
-    t->hits = obs::registry().counter("serve.cache.hits");
-    t->misses = obs::registry().counter("serve.cache.misses");
-    t->evictions = obs::registry().counter("serve.cache.evictions");
-    t->invalidations = obs::registry().counter("serve.cache.invalidations");
-    return t;
-  }();
-  return *m;
-}
-
-}  // namespace
 
 PanelCache::PanelCache(std::size_t capacity, std::size_t shards)
     : capacity_(capacity) {
@@ -58,16 +29,13 @@ std::shared_ptr<const EntryPanels> PanelCache::get_or_load(
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     ++s.counters.lookups;
-    cache_metrics().lookups.inc();
     const auto hit = s.index.find(key);
     if (hit != s.index.end()) {
       ++s.counters.hits;
-      cache_metrics().hits.inc();
       s.lru.splice(s.lru.begin(), s.lru, hit->second);  // bump to front
       return s.lru.front().second;
     }
     ++s.counters.misses;
-    cache_metrics().misses.inc();
   }
   // Miss: load with the lock dropped so this key's decompression I/O never
   // blocks hits on other keys of the shard. A racing thread may load the
@@ -85,7 +53,6 @@ std::shared_ptr<const EntryPanels> PanelCache::get_or_load(
     s.index.erase(s.lru.back().first);
     s.lru.pop_back();
     ++s.counters.evictions;
-    cache_metrics().evictions.inc();
   }
   return s.lru.front().second;
 }
@@ -98,7 +65,6 @@ void PanelCache::erase_archive(std::size_t archive) {
         shard->index.erase(it->first);
         it = shard->lru.erase(it);
         ++shard->counters.invalidations;
-        cache_metrics().invalidations.inc();
       } else {
         ++it;
       }

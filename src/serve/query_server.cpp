@@ -16,19 +16,12 @@ namespace ptucker::serve {
 
 namespace {
 
-/// Serve-path registry metrics ("serve.*"), resolved once. Additive to the
-/// per-instance ExecutorCounters/CacheCounters: those stay the precise
-/// per-server view, these feed the unified process snapshot.
+/// Serve-path registry metrics ("serve.*"), resolved once. Only what no
+/// per-server record holds lives here: the executor and cache tallies are
+/// ExecutorCounters/CacheCounters, exported as "server.*" by stats_report().
 struct ServeMetrics {
   obs::Counter queries;
-  obs::Counter submitted;
-  obs::Counter completed;
-  obs::Counter admission_waits;
-  obs::Counter deadline_misses;
-  obs::Counter sheds;
   obs::Counter quarantines;
-  obs::Gauge queue_depth;
-  obs::Gauge peak_queue;
   obs::Histogram query_us;
 };
 
@@ -36,14 +29,7 @@ ServeMetrics& serve_metrics() {
   static ServeMetrics* m = [] {
     auto* t = new ServeMetrics;
     t->queries = obs::registry().counter("serve.queries");
-    t->submitted = obs::registry().counter("serve.exec.submitted");
-    t->completed = obs::registry().counter("serve.exec.completed");
-    t->admission_waits = obs::registry().counter("serve.exec.admission_waits");
-    t->deadline_misses = obs::registry().counter("serve.deadline_misses");
-    t->sheds = obs::registry().counter("serve.exec.sheds");
     t->quarantines = obs::registry().counter("serve.quarantines");
-    t->queue_depth = obs::registry().gauge("serve.exec.queue_depth");
-    t->peak_queue = obs::registry().gauge("serve.exec.peak_queue");
     t->query_us = obs::registry().histogram("serve.query_us");
     return t;
   }();
@@ -214,7 +200,6 @@ tensor::Tensor QueryServer::evaluate(
       std::lock_guard<std::mutex> lock(queue_mutex_);
       ++exec_counters_.deadline_misses;
     }
-    serve_metrics().deadline_misses.inc();
     std::ostringstream os;
     os << "serve: deadline of " << ddl_ms << " ms exceeded at stage '"
        << stage << "' (" << us_between(anchor, now)
@@ -394,7 +379,6 @@ std::future<tensor::Tensor> QueryServer::submit(Request req) const {
       std::lock_guard<std::mutex> lock(queue_mutex_);
       ++exec_counters_.submitted;
     }
-    serve_metrics().submitted.inc();
     try {
       promise.set_value(evaluate(req));
     } catch (...) {
@@ -402,7 +386,6 @@ std::future<tensor::Tensor> QueryServer::submit(Request req) const {
     }
     std::lock_guard<std::mutex> lock(queue_mutex_);
     ++exec_counters_.completed;
-    serve_metrics().completed.inc();
     return fut;
   }
   std::unique_lock<std::mutex> lock(queue_mutex_);
@@ -412,7 +395,6 @@ std::future<tensor::Tensor> QueryServer::submit(Request req) const {
       // Load shedding: reject now so the client can back off or retry
       // elsewhere — overload degrades to an explicit error, not latency.
       ++exec_counters_.sheds;
-      serve_metrics().sheds.inc();
       throw Overloaded(
           "serve: admission queue full (" +
           std::to_string(opts_.queue_depth) +
@@ -422,7 +404,6 @@ std::future<tensor::Tensor> QueryServer::submit(Request req) const {
     // Admission control: a full queue blocks the client instead of
     // growing the queue — overload degrades to latency, not memory.
     ++exec_counters_.admission_waits;
-    serve_metrics().admission_waits.inc();
     obs::Span span_wait("serve.admission_wait");
     queue_not_full_.wait(lock, [&] {
       return queue_.size() < opts_.queue_depth || stopping_;
@@ -434,11 +415,6 @@ std::future<tensor::Tensor> QueryServer::submit(Request req) const {
   ++exec_counters_.submitted;
   exec_counters_.peak_queue =
       std::max(exec_counters_.peak_queue, queue_.size());
-  serve_metrics().submitted.inc();
-  serve_metrics().queue_depth.set(
-      static_cast<std::int64_t>(queue_.size()));
-  serve_metrics().peak_queue.record_peak(
-      static_cast<std::int64_t>(queue_.size()));
   lock.unlock();
   queue_not_empty_.notify_one();
   return fut;
@@ -454,8 +430,6 @@ void QueryServer::worker_loop() {
       if (queue_.empty()) return;  // stopping, and the queue has drained
       job = std::move(queue_.front());
       queue_.pop_front();
-      serve_metrics().queue_depth.set(
-          static_cast<std::int64_t>(queue_.size()));
     }
     queue_not_full_.notify_one();
     // Count completion BEFORE resolving the future, so a client that has
@@ -466,7 +440,6 @@ void QueryServer::worker_loop() {
         std::lock_guard<std::mutex> lock(queue_mutex_);
         ++exec_counters_.completed;
       }
-      serve_metrics().completed.inc();
       job.promise.set_value(std::move(result));
     } catch (...) {
       // A malformed request (bad box, uncovered range) surfaces on the
@@ -475,7 +448,6 @@ void QueryServer::worker_loop() {
         std::lock_guard<std::mutex> lock(queue_mutex_);
         ++exec_counters_.completed;
       }
-      serve_metrics().completed.inc();
       job.promise.set_exception(std::current_exception());
     }
   }

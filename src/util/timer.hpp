@@ -1,12 +1,9 @@
 #pragma once
 /// \file timer.hpp
-/// \brief Wall-clock timers and the per-kernel time breakdown used to
-/// reproduce the paper's Fig. 8 stacked Gram/Evecs/TTM bars.
+/// \brief Wall-clock stopwatch. Per-kernel breakdowns (the paper's Fig. 8
+/// Gram/Evecs/TTM stacks) come from obs::Span traces, not from here.
 
 #include <chrono>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace ptucker::util {
 
@@ -26,68 +23,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named kernel timings, keyed by (kernel, mode).
-///
-/// The Tucker drivers record one entry per kernel invocation per tensor
-/// mode, mirroring the paper's Fig. 8 presentation where each ST-HOSVD bar
-/// is a stack of per-mode Gram / Evecs / TTM blocks.
-class KernelTimers {
- public:
-  /// Add \p seconds to the (kernel, mode) bucket. Mode -1 = unattributed.
-  void add(const std::string& kernel, int mode, double seconds);
-
-  /// Total seconds across modes for one kernel.
-  [[nodiscard]] double total(const std::string& kernel) const;
-
-  /// Seconds for one (kernel, mode) bucket; 0 if never recorded.
-  [[nodiscard]] double get(const std::string& kernel, int mode) const;
-
-  /// Sum of all buckets.
-  [[nodiscard]] double grand_total() const;
-
-  /// Kernel names seen so far, in first-use order.
-  [[nodiscard]] const std::vector<std::string>& kernels() const {
-    return order_;
-  }
-
-  /// Merge another rank's breakdown, keeping the per-bucket MAX. This is
-  /// the Fig. 8 semantics: each stacked block shows the slowest rank's time
-  /// in that kernel/mode, the bottleneck view. Note grand_total() of a
-  /// max-merged breakdown OVERSTATES any one rank's critical path (the max
-  /// of sums is at most the sum of maxes, and each bucket's max may come
-  /// from a different rank) — use merge_sum for totals.
-  void merge_max(const KernelTimers& other);
-
-  /// Merge another rank's breakdown, summing buckets — aggregate
-  /// CPU-seconds across ranks. grand_total() of a sum-merged breakdown is
-  /// the true total work; divide by ranks for the mean.
-  void merge_sum(const KernelTimers& other);
-
-  void clear();
-
- private:
-  std::map<std::pair<std::string, int>, double> buckets_;
-  std::vector<std::string> order_;
-};
-
-/// RAII helper: times a scope into a KernelTimers bucket.
-class ScopedKernelTimer {
- public:
-  ScopedKernelTimer(KernelTimers* sink, std::string kernel, int mode)
-      : sink_(sink), kernel_(std::move(kernel)), mode_(mode) {}
-  ~ScopedKernelTimer() {
-    if (sink_ != nullptr) sink_->add(kernel_, mode_, timer_.seconds());
-  }
-  ScopedKernelTimer(const ScopedKernelTimer&) = delete;
-  ScopedKernelTimer& operator=(const ScopedKernelTimer&) = delete;
-
- private:
-  KernelTimers* sink_;
-  std::string kernel_;
-  int mode_;
-  Timer timer_;
 };
 
 }  // namespace ptucker::util

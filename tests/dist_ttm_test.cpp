@@ -189,19 +189,6 @@ TEST(DistTtm, NoCommunicationWhenPnIsOne) {
   EXPECT_EQ(rt.total_stats().messages_sent, 0u);
 }
 
-TEST(DistTtm, TimersRecordPerMode) {
-  run_ranks(2, [](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, {2, 1});
-    DistTensor x(grid, Dims{6, 5});
-    fill_test_tensor(x, 2);
-    util::KernelTimers timers;
-    const Matrix m = Matrix::randn(2, 5, 3);
-    (void)dist::ttm(x, m, 1, TtmAlgo::Auto, &timers);
-    EXPECT_GT(timers.get("TTM", 1), 0.0);
-    EXPECT_EQ(timers.get("TTM", 0), 0.0);
-  });
-}
-
 TEST(DistTtm, FourWayTensorAllModes) {
   // The paper's data are 4- and 5-way; exercise every mode of a 4-way
   // tensor on a non-trivial grid against the sequential oracle.

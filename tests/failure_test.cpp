@@ -9,6 +9,7 @@
 #include "dist/grid.hpp"
 #include "pario/model_io.hpp"
 #include "test_utils.hpp"
+#include "util/timer.hpp"
 
 namespace ptucker {
 namespace {

@@ -426,10 +426,14 @@ TEST(Serve, StatsReportExposesTheWholeStack) {
   EXPECT_NE(report.find("server.archives 1"), std::string::npos);
   EXPECT_NE(report.find("server.cache.lookups"), std::string::npos);
   EXPECT_NE(report.find("server.exec.submitted"), std::string::npos);
+  EXPECT_NE(report.find("server.cache.hits"), std::string::npos);
+  // Each count has one record: the registry does not mirror the server's.
+  EXPECT_EQ(report.find("serve.cache."), std::string::npos);
+  EXPECT_EQ(report.find("serve.exec."), std::string::npos);
+  EXPECT_EQ(report.find("serve.deadline_misses"), std::string::npos);
   if constexpr (obs::kEnabled) {
     // The embedded registry snapshot reaches across subsystem boundaries:
-    // cache metrics, the serve histogram, and the pario layer underneath.
-    EXPECT_NE(report.find("serve.cache.hits"), std::string::npos);
+    // the serve histogram and the pario layer underneath.
     EXPECT_NE(report.find("serve.query_us"), std::string::npos);
     EXPECT_NE(report.find("pario.read_bytes"), std::string::npos);
   }

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/metrics.hpp"
 #include "core/reconstruct.hpp"
 #include "core/st_hosvd.hpp"
 #include "data/synthetic.hpp"
 #include "dist/grid.hpp"
+#include "obs/trace.hpp"
 #include "test_utils.hpp"
 
 namespace ptucker {
@@ -229,6 +233,75 @@ TEST(Sthosvd, FourWayTensor) {
     const DistTensor xt = core::reconstruct(result.tucker);
     EXPECT_LT(core::normalized_error(x, xt), 1e-6);
   });
+}
+
+// st_hosvd's spans are the only per-kernel timing record, and benches read
+// them by name: a renamed, re-nested or re-argumented span must fail here.
+TEST(Sthosvd, SpansRecordEveryKernelPerRankAndMode) {
+  if (!obs::kTraceCompiled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
+  struct Route {
+    core::FactorMethod method;
+    std::multiset<std::string> kernels;  ///< children of each mode span
+  };
+  const Route routes[] = {
+      {core::FactorMethod::GramEig, {"Gram", "Evecs", "TTM"}},
+      {core::FactorMethod::TsqrSvd, {"TSQR", "TTM"}},
+      {core::FactorMethod::Randomized, {"Sketch", "TTM"}},
+  };
+  const Dims dims{12, 9, 8};
+  const Dims ranks{3, 3, 2};
+  const int p = 2;
+  for (const Route& route : routes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "factor method " << static_cast<int>(route.method));
+    obs::TraceSession::start();
+    run_ranks(p, [&](mps::Comm& comm) {
+      auto grid = dist::make_grid(comm, {2, 1, 1});
+      const DistTensor x = data::make_low_rank(grid, dims, ranks, 5, 0.01);
+      SthosvdOptions opts;
+      opts.fixed_ranks = ranks;
+      opts.factor_method = route.method;
+      EXPECT_TRUE(core::st_hosvd(x, opts).downgrades.empty());
+    });
+    obs::TraceSession::stop();
+    ASSERT_EQ(obs::TraceSession::dropped(), 0u);
+    const std::vector<obs::TraceEvent> events = obs::TraceSession::events();
+    const auto contains = [](const obs::TraceEvent& outer,
+                             const obs::TraceEvent& inner) {
+      return inner.ts_ns >= outer.ts_ns &&
+             inner.ts_ns + inner.dur_ns <= outer.ts_ns + outer.dur_ns;
+    };
+    for (int rank = 0; rank < p; ++rank) {
+      for (int mode = 0; mode < static_cast<int>(dims.size()); ++mode) {
+        std::vector<obs::TraceEvent> mode_spans;
+        for (const obs::TraceEvent& e : events) {
+          if (e.rank == rank && std::string(e.name) == "st_hosvd.mode" &&
+              e.arg == mode) {
+            mode_spans.push_back(e);
+          }
+        }
+        ASSERT_EQ(mode_spans.size(), 1u) << "rank " << rank << " mode "
+                                         << mode;
+        const obs::TraceEvent& parent = mode_spans.front();
+        std::multiset<std::string> children;
+        for (const obs::TraceEvent& e : events) {
+          if (e.rank != rank || std::string(e.name) == "st_hosvd.mode") {
+            continue;
+          }
+          if (e.arg == mode) {
+            EXPECT_TRUE(contains(parent, e))
+                << e.name << " of mode " << mode << " outside its mode span";
+          }
+          if (contains(parent, e)) {
+            EXPECT_EQ(e.arg, mode) << e.name << " inside mode " << mode;
+            children.insert(e.name);
+          }
+        }
+        EXPECT_EQ(children, route.kernels)
+            << "rank " << rank << " mode " << mode;
+      }
+    }
+  }
 }
 
 }  // namespace

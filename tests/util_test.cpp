@@ -1,14 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "util/blocks.hpp"
 #include "util/cli.hpp"
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace ptucker {
 namespace {
@@ -128,63 +130,31 @@ TEST(Table, AlignsColumns) {
   EXPECT_NE(s.find("---"), std::string::npos);
 }
 
-TEST(KernelTimers, AccumulatesPerKernelAndMode) {
-  util::KernelTimers timers;
-  timers.add("Gram", 0, 1.0);
-  timers.add("Gram", 1, 2.0);
-  timers.add("TTM", 0, 0.5);
-  timers.add("Gram", 0, 0.25);
-  EXPECT_DOUBLE_EQ(timers.get("Gram", 0), 1.25);
-  EXPECT_DOUBLE_EQ(timers.total("Gram"), 3.25);
-  EXPECT_DOUBLE_EQ(timers.grand_total(), 3.75);
-  ASSERT_EQ(timers.kernels().size(), 2u);
-  EXPECT_EQ(timers.kernels()[0], "Gram");
+TEST(Crc32c, MatchesRfc3720CheckValue) {
+  EXPECT_EQ(util::crc32c(0, "123456789", 9), 0xE3069283u);
 }
 
-TEST(KernelTimers, MergeMaxTakesElementwiseMax) {
-  util::KernelTimers a;
-  util::KernelTimers b;
-  a.add("TTM", 0, 1.0);
-  b.add("TTM", 0, 2.0);
-  b.add("Evecs", 1, 3.0);
-  a.merge_max(b);
-  EXPECT_DOUBLE_EQ(a.get("TTM", 0), 2.0);
-  EXPECT_DOUBLE_EQ(a.get("Evecs", 1), 3.0);
+TEST(Crc32c, EmptyInputReturnsSeedUnchanged) {
+  EXPECT_EQ(util::crc32c(0, nullptr, 0), 0u);
+  EXPECT_EQ(util::crc32c(0xE3069283u, nullptr, 0), 0xE3069283u);
+  const char byte = 'x';
+  EXPECT_EQ(util::crc32c(0x12345678u, &byte, 0), 0x12345678u);
 }
 
-TEST(KernelTimers, MergeSumAccumulatesAcrossRanks) {
-  util::KernelTimers a;
-  util::KernelTimers b;
-  a.add("TTM", 0, 1.0);
-  a.add("Gram", 0, 0.5);
-  b.add("TTM", 0, 2.0);
-  b.add("Evecs", 1, 3.0);
-  a.merge_sum(b);
-  EXPECT_DOUBLE_EQ(a.get("TTM", 0), 3.0);
-  EXPECT_DOUBLE_EQ(a.get("Gram", 0), 0.5);
-  EXPECT_DOUBLE_EQ(a.get("Evecs", 1), 3.0);
-  EXPECT_DOUBLE_EQ(a.grand_total(), 6.5);
-  // New kernels keep first-use order behind the existing ones.
-  ASSERT_EQ(a.kernels().size(), 3u);
-  EXPECT_EQ(a.kernels()[2], "Evecs");
-}
-
-TEST(KernelTimers, MaxMergeGrandTotalOverstatesCriticalPath) {
-  // Two "ranks" whose per-bucket maxima come from different ranks: the
-  // max-merged grand_total exceeds either rank's own critical path. This is
-  // the documented pitfall merge_sum exists to avoid.
-  util::KernelTimers r0;
-  util::KernelTimers r1;
-  r0.add("Gram", 0, 4.0);
-  r0.add("TTM", 0, 1.0);  // r0 path: 5.0
-  r1.add("Gram", 0, 1.0);
-  r1.add("TTM", 0, 4.0);  // r1 path: 5.0
-  util::KernelTimers bottleneck = r0;
-  bottleneck.merge_max(r1);
-  EXPECT_DOUBLE_EQ(bottleneck.grand_total(), 8.0);  // > both paths
-  util::KernelTimers total = r0;
-  total.merge_sum(r1);
-  EXPECT_DOUBLE_EQ(total.grand_total(), 10.0);  // true aggregate work
+TEST(Crc32c, ChainingAtEverySplitMatchesOneShot) {
+  // The property the blocked readers rely on: crc32c(crc32c(0, a), b)
+  // equals crc32c(0, a || b), wherever the boundary falls.
+  std::vector<unsigned char> buf(4096);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>((i * 2654435761u) >> 13);
+  }
+  const std::uint32_t whole = util::crc32c(0, buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t head = util::crc32c(0, buf.data(), split);
+    ASSERT_EQ(util::crc32c(head, buf.data() + split, buf.size() - split),
+              whole)
+        << "split at " << split;
+  }
 }
 
 TEST(ErrorMacros, RequireThrowsInvalidArgument) {
