@@ -3,8 +3,6 @@
 /// Alg. 3 (Pn reduces, bounded temporaries) vs the single-multiply +
 /// reduce-scatter fast path (fewer messages, larger temporary), sweeping the
 /// output extent K across the K = Jn/Pn threshold the paper uses to switch.
-///
-/// --smoke shrinks the sizes for CI.
 
 #include "bench_common.hpp"
 #include "data/synthetic.hpp"
@@ -19,14 +17,11 @@ int main(int argc, char** argv) {
                        "blocked Alg. 3 vs reduce-scatter TTM");
   args.add_int("dim", 64, "tensor extent per mode");
   args.add_int("ranks", 8, "number of (thread) ranks");
-  args.add_flag("smoke", "small sizes (CI)");
   args.parse(argc, argv);
 
-  const bool smoke = args.get_flag("smoke");
-  const std::size_t dim =
-      smoke ? 24 : static_cast<std::size_t>(args.get_int("dim"));
+  const std::size_t dim = static_cast<std::size_t>(args.get_int("dim"));
   const int p = static_cast<int>(args.get_int("ranks"));
-  const int reps = smoke ? 1 : 3;
+  const int reps = 3;
 
   const tensor::Dims dims{dim, dim, dim};
   const std::vector<int> shape{2, 2, 2};

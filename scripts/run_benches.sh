@@ -29,12 +29,7 @@ run "$BUILD/ablate_ttm_paths" --dim 32 --ranks 8
 run "$BUILD/ablate_gram_symmetry" --dim 48 --ranks 8
 run "$BUILD/ablate_factor_routes" --dim 64 --skinny 8 --ranks 8
 run "$BUILD/ablate_io_paths" --dim 48 --ranks 4
-run "$BUILD/ablate_archive" --windows 6 --window 2 --ranks 2 --reps 3
 run "$BUILD/grid_tuning" --ranks 4 --dim 16 --rank 4
-run "$BUILD/serve_qps" --dim 24 --species 6 --windows 4 --queries 200 \
-  --max_clients 4
-run "$BUILD/serve_qps" --dim 24 --species 6 --windows 4 --queries 200 \
-  --max_clients 4 --queue_depth 1 --shed --deadline_ms 1000
 
 # Baselines whose code paths are gone: their last measured numbers, kept
 # verbatim so regenerating this file does not lose the history.
@@ -90,5 +85,44 @@ Ablation: IO paths — write+read a 48x48x48 DistTensor on 4 ranks
   root-funnel(flat)  0.0017    0.0013   82951            9
   root-funnel(tree)  0.0019    0.0018   82957            8
   parallel-chunk     0.0027    0.0007   1                6
+```
+
+Duplicate benchmarks, retired when `bench/suite` became the only
+performance record. Their programs were deleted and their correctness
+gates moved to ctest; `micro_local_kernels` (Google Benchmark, no snapshot
+here) measured what `blas.*_gflops` and `blas.gram_pct_peak` report.
+
+One PTA1 archive vs one model file per window, from
+`ablate_archive --windows 6 --window 2 --ranks 2 --reps 3`. The
+`stream-append` and `serve-cold` workloads now measure the archive's write
+and load paths.
+
+```
+Ablation: model archive — 6 windows of 2 steps of 24x24x6 on 2 ranks
+  layout               write(s)  ranged load(s)  files opened
+  -------------------  --------  --------------  ------------
+  PTA1 archive         0.0022    0.0001          1
+  one .ptz per window  0.0003    0.0001          6
+archive vs per-window files: load 0.98x
+```
+
+Query latency by client count with a cold and a warm panel cache, from
+`serve_qps --dim 24 --species 6 --windows 4 --queries 200 --max_clients 4`,
+then the same with `--queue_depth 1 --shed --deadline_ms 1000` (executor
+line only). `serve-cold` and `serve-hot` now measure the latency;
+`fault_test`'s `ServeDegradation.*` cases assert shedding and deadlines.
+
+```
+Serve QPS: concurrent reconstruction queries — 4 windows of 4 steps of 24x24x6
+  clients  cache  p50(us)  p90(us)  p99(us)  qps     hit%   ddl_miss  shed
+  -------  -----  -------  -------  -------  ------  -----  --------  ----
+  1        cold   22.0     24.0     52.0     28100   0.0    0         0
+  1        warm   3.0      4.0      4.0      165623  100.0  0         0
+  2        cold   20.0     24.0     44.0     38593   0.0    0         0
+  2        warm   3.0      4.0      7.0      186394  100.0  0         0
+  4        cold   15.0     24.0     480.0    37287   1.0    0         0
+  4        warm   3.0      4.0      352.0    154570  100.0  0         0
+executor (4 clients -> 4 workers, queue 8): p50 7.0 us, p99 2304.0 us, 31646 qps, 0/200 submits blocked, peak queue 3, 0 shed, 0 deadline misses
+executor (4 clients -> 4 workers, queue 1, shedding): p50 18.0 us, p99 2304.0 us, 16723 qps, 0/62 submits blocked, peak queue 1, 138 shed, 0 deadline misses
 ```
 EOF_RETIRED

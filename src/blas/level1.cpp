@@ -71,7 +71,9 @@ void scal(std::size_t n, double alpha, double* x) {
 }
 
 void copy(std::size_t n, const double* x, double* y) {
-  std::memcpy(y, x, n * sizeof(double));
+  // An empty range may come with a null pointer, which std::memcpy rejects
+  // even for zero bytes.
+  if (n != 0) std::memcpy(y, x, n * sizeof(double));
 }
 
 }  // namespace ptucker::blas

@@ -14,6 +14,9 @@ constexpr int kTagGramRing = 310;
 /// assembled block column \p cols (jn x my_cols).
 void fill_rows(tensor::Matrix& cols, std::size_t row_lo,
                const tensor::Matrix& block) {
+  // A block with no rows may hold a null pointer, which std::memcpy
+  // rejects even for zero bytes.
+  if (block.rows() == 0) return;
   for (std::size_t j = 0; j < block.cols(); ++j) {
     std::memcpy(cols.col(j) + row_lo, block.col(j),
                 block.rows() * sizeof(double));

@@ -76,8 +76,12 @@ void pack_destination_blocks(const tensor::Tensor& partial, const DistTensor& z,
         z.mode_range_of(mode, l).hi - group.lo};
     const tensor::Tensor block = partial.subtensor(ranges);
     counts[static_cast<std::size_t>(l)] = block.size();
-    std::memcpy(packed.data() + offset, block.data(),
-                block.size() * sizeof(double));
+    // An empty block (or an empty packed buffer) may hold a null pointer,
+    // which std::memcpy rejects even for zero bytes.
+    if (block.size() != 0) {
+      std::memcpy(packed.data() + offset, block.data(),
+                  block.size() * sizeof(double));
+    }
     offset += block.size();
   }
   PT_CHECK(offset == packed.size(), "ttm: packing size mismatch");

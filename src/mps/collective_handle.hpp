@@ -48,10 +48,10 @@ namespace ptucker::mps {
 namespace detail {
 
 /// Internal tag space for nonblocking collectives: below every fixed
-/// reserved range (barrier rounds at -1000-k, legacy collective tags at
-/// -2000..-7000). Each initiation's sequence number maps to a block of
-/// kAsyncSubTags tags so multi-phase ops (all-reduce = reduce-scatter +
-/// all-gather) keep their phases distinct.
+/// reserved range (barrier rounds at -1000-k, the rooted gather and scatter
+/// at kTagGather = -6000 and kTagScatter = -7000). Each initiation's
+/// sequence number maps to a block of kAsyncSubTags tags so multi-phase ops
+/// (all-reduce = reduce-scatter + all-gather) keep their phases distinct.
 constexpr int kTagAsyncBase = -1'000'000;
 constexpr std::uint64_t kAsyncSeqWrap = std::uint64_t{1} << 20;
 constexpr int kAsyncSubTags = 8;
@@ -104,7 +104,6 @@ struct AsyncOp {
 template <class T>
 struct RingState {
   std::vector<T> work;   ///< reduce-scatter working copy of the input
-  std::vector<T> block;  ///< all-reduce intermediate (my reduced block)
   std::vector<T> acc;    ///< tree-reduce accumulator
   std::vector<T> tmp;    ///< tree-reduce receive staging
   std::vector<std::size_t> counts;

@@ -31,7 +31,7 @@
 /// increment and percentile queries walk at most 496 buckets. Quantiles
 /// are exact to the bucket: the reported p50/p90/p99 is the bound of the
 /// bucket holding the nearest-rank sample (asserted against exact sorted
-/// percentiles in serve_qps and tests/obs_test.cpp).
+/// percentiles in tests/obs_test.cpp).
 
 #include <array>
 #include <atomic>
@@ -52,8 +52,8 @@ inline constexpr bool kEnabled = true;
 
 /// Log-bucketed histogram storage: values 0..7 exact, then 8 sub-buckets
 /// per octave. Thread-safe: record() is wait-free (relaxed atomics), reads
-/// are monotone snapshots. Usable standalone (serve_qps builds one per
-/// scenario) or registry-owned via Registry::histogram().
+/// are monotone snapshots. Usable standalone or registry-owned via
+/// Registry::histogram().
 class HistogramData {
  public:
   static constexpr int kSubBits = 3;

@@ -5,11 +5,12 @@
 ///
 /// A trace answers the question the flat registry cannot: *where inside
 /// one slow query (or one ST-HOSVD mode) did the time go?* Spans carry
-/// thread and rank attribution, so loading a trace of `serve_qps --trace
-/// out.json` into chrome://tracing (or https://ui.perfetto.dev) shows each
-/// worker's route -> load -> reconstruct -> denormalize -> stitch
-/// decomposition per query, and a tool run shows the per-mode
-/// Gram/Evecs/TTM stacks of Fig. 8 as a timeline.
+/// thread and rank attribution, so loading the trace that
+/// `ptucker_bench --workload serve-cold --trace out.json` writes into
+/// chrome://tracing (or https://ui.perfetto.dev) shows each worker's
+/// route -> load -> reconstruct -> denormalize -> stitch decomposition per
+/// query, and a tool run shows the per-mode Gram/Evecs/TTM stacks of Fig. 8
+/// as a timeline.
 ///
 /// Cost model:
 ///  - Session inactive (the default): constructing a Span is one relaxed

@@ -419,7 +419,12 @@ TEST(Serve, StatsReportExposesTheWholeStack) {
   const Dims step_dims{5, 4, 3};
   build_archive(path, step_dims, 2, 2, /*species_mode=*/2);
   serve::QueryServer server({path});
-  (void)server.subtensor({0, 0, 4, {}});
+  const std::uint64_t queries_before =
+      obs::registry().counter("serve.queries").value();
+  const std::size_t served = 3;
+  for (std::size_t q = 0; q < served; ++q) {
+    (void)server.subtensor({0, 0, 4, {}});
+  }
 
   const std::string report = server.stats_report();
   // Server-local lines are always present.
@@ -436,6 +441,10 @@ TEST(Serve, StatsReportExposesTheWholeStack) {
     // the serve histogram and the pario layer underneath.
     EXPECT_NE(report.find("serve.query_us"), std::string::npos);
     EXPECT_NE(report.find("pario.read_bytes"), std::string::npos);
+    // The registry sees every query served, exactly once.
+    EXPECT_EQ(obs::registry().counter("serve.queries").value() -
+                  queries_before,
+              served);
   }
 
   const std::string json = server.stats_json();

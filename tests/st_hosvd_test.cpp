@@ -55,24 +55,46 @@ TEST_P(SthosvdGrids, RecoversExactLowRankTensor) {
   });
 }
 
+// Every factor route certifies eq. 3 on every grid without downgrading to
+// another route, on a tiny tensor and on a larger one with a deeper tail.
 TEST_P(SthosvdGrids, ErrorBoundHolds) {
   const auto& shape = GetParam();
-  const Dims dims{9, 8, 7};
-  const Dims ranks{3, 3, 3};
-  const double eps = 0.2;  // loose target so truncation actually happens
-  run_ranks(grid_size(shape), [&](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, shape);
-    const DistTensor x = data::make_low_rank(grid, dims, ranks, 13, 0.05);
-    SthosvdOptions opts;
-    opts.epsilon = eps;
-    const auto result = core::st_hosvd(x, opts);
-    const DistTensor xt = core::reconstruct(result.tucker);
-    const double err = core::normalized_error(x, xt);
-    // Paper eq. (3): ‖X − X̃‖ <= eps ‖X‖ — with slack for fp rounding.
-    EXPECT_LE(err, eps * 1.0000001);
-    // And the a-priori bound from the truncated tails dominates the error.
-    EXPECT_LE(err, result.error_bound + 1e-9);
-  });
+  const struct {
+    Dims dims;
+    Dims ranks;
+    std::uint64_t seed;
+    double noise;
+    double eps;  ///< loose target so truncation actually happens
+  } problems[] = {{{9, 8, 7}, {3, 3, 3}, 13, 0.05, 0.2},
+                  {{48, 24, 20}, {6, 5, 4}, 11, 0.005, 0.15}};
+  for (const auto& pb : problems) {
+    for (const auto method :
+         {core::FactorMethod::GramEig, core::FactorMethod::TsqrSvd,
+          core::FactorMethod::Randomized}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "dims " << pb.dims[0] << "x" << pb.dims[1] << "x"
+                   << pb.dims[2] << ", factor method "
+                   << static_cast<int>(method));
+      run_ranks(grid_size(shape), [&](mps::Comm& comm) {
+        auto grid = dist::make_grid(comm, shape);
+        const DistTensor x =
+            data::make_low_rank(grid, pb.dims, pb.ranks, pb.seed, pb.noise);
+        SthosvdOptions opts;
+        opts.epsilon = pb.eps;
+        opts.factor_method = method;
+        const auto result = core::st_hosvd(x, opts);
+        EXPECT_TRUE(result.downgrades.empty());
+        EXPECT_LE(result.error_bound, pb.eps);
+        const DistTensor xt = core::reconstruct(result.tucker);
+        const double err = core::normalized_error(x, xt);
+        // Paper eq. (3): ‖X − X̃‖ <= eps ‖X‖ — with slack for fp rounding.
+        EXPECT_LE(err, pb.eps * 1.0000001);
+        // And the a-priori bound from the truncated tails dominates the
+        // error.
+        EXPECT_LE(err, result.error_bound + 1e-9);
+      });
+    }
+  }
 }
 
 TEST(Sthosvd, ErrorIsIndependentOfProcessorGrid) {
