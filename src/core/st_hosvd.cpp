@@ -119,7 +119,6 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
     if (route == FactorRoute::Tsqr) {
       obs::Span span("TSQR", n);
       factor = dist::factor_via_tsqr(y, n, select);
-      result.tsqr_modes.push_back(n);
     } else if (route == FactorRoute::Gram) {
       const dist::GramColumns s = [&] {
         obs::Span span("Gram", n);

@@ -12,7 +12,7 @@ namespace ptucker::pario {
 
 namespace {
 constexpr char kMagicArchive[4] = {'P', 'T', 'A', '1'};
-constexpr std::uint64_t kVersionPlain = 1;  // 5-u64 slots, no checksums
+constexpr std::uint64_t kVersionPlain = 1;  // read-only: 5-u64 slots
 constexpr std::uint64_t kVersionCrc = 2;    // 6-u64 slots with slot_crc
 
 /// Bytes of one entry-table slot: step_first, step_count, eps, byte_offset,
@@ -256,10 +256,9 @@ void archive_create(const std::string& path, const mps::Comm& comm,
   PT_REQUIRE(entry_capacity >= 1 && entry_capacity <= kMaxCapacity,
              "archive_create: implausible capacity " << entry_capacity);
   if (comm.rank() == 0) {
-    const bool crc = write_checksums();
     detail::HeaderWriter w;
     w.magic(kMagicArchive);
-    w.u64(crc ? kVersionCrc : kVersionPlain);
+    w.u64(kVersionCrc);
     w.u64(static_cast<std::uint64_t>(step_dims.size()) + 1);
     for (std::size_t d : step_dims) w.u64(d);
     w.u64(species_mode < 0 ? kArchiveNoSpecies
@@ -270,7 +269,8 @@ void archive_create(const std::string& path, const mps::Comm& comm,
     f.write_at(0, w.bytes().data(), w.bytes().size());
     // Size the file to the full header so every table slot exists and the
     // first blob lands at a stable offset.
-    f.truncate(archive_header_bytes(step_dims.size(), entry_capacity, crc));
+    f.truncate(archive_header_bytes(step_dims.size(), entry_capacity,
+                                    /*crc=*/true));
   }
   comm.barrier();
 }
@@ -294,6 +294,13 @@ void archive_append_models(const std::string& path,
     const File file = File::open_read(path);
     a = parse_archive(file);
   }
+  // Version-1 archives are read-only: their 5-u64 slots cannot hold the
+  // checksummed entries this writer commits. Every rank sees the same
+  // header, so every rank throws here, before any byte is written.
+  PT_REQUIRE(a.crc, "archive_append: " << path
+                                       << " is a version-1 PTA1 archive; "
+                                          "only version-2 archives accept "
+                                          "appends (version 1 is read-only)");
   // Every rank must finish parsing before any rank modifies the file: a
   // continuation header written below is parse-visible (the sniff needs no
   // committed count), so without this fence a slow parser could see a
@@ -375,16 +382,16 @@ void archive_append_models(const std::string& path,
         detail::HeaderWriter w;
         w.magic(kMagicCont);
         w.u64(next.capacity);
-        w.u64(a.crc ? util::crc32c(0, w.bytes().data(), 12) : 0);
+        w.u64(util::crc32c(0, w.bytes().data(), 12));
         w.u64(0);  // entry_count: nothing committed yet
         const File f = File::open_write(path);
         f.write_at(cursor, w.bytes().data(), w.bytes().size());
-        f.truncate(table_header_end(next, step_order, a.crc));
+        f.truncate(table_header_end(next, step_order, /*crc=*/true));
       }
       comm.barrier();
       a.tables.push_back(next);
       new_counts.push_back(0);
-      cursor = table_header_end(next, step_order, a.crc);
+      cursor = table_header_end(next, step_order, /*crc=*/true);
     }
     // Payload: block-parallel, exactly like write_model (rank 0 writes the
     // blob header and extends the file; every rank pwrites its core block).
@@ -419,13 +426,11 @@ void archive_append_models(const std::string& path,
       w.u64(eps_bits);
       w.u64(slot.byte_offset);
       w.u64(slot.byte_count);
-      if (a.crc) {
-        // slot_crc covers the five fields exactly as serialized above, so
-        // a torn slot write can never masquerade as a valid entry.
-        w.u64(util::crc32c(0, w.bytes().data(), w.bytes().size()));
-      }
+      // slot_crc covers the five fields exactly as serialized above, so a
+      // torn slot write can never masquerade as a valid entry.
+      w.u64(util::crc32c(0, w.bytes().data(), w.bytes().size()));
       f.write_at(table_slot_offset(a.tables[slot.table], step_order,
-                                   slot.slot, a.crc),
+                                   slot.slot, /*crc=*/true),
                  w.bytes().data(), w.bytes().size());
     }
     f.sync();

@@ -18,10 +18,10 @@
 ///   | entry payloads: each a complete PTZ1 blob (blob-relative offsets,
 ///     so an entry extracted byte-for-byte is a standalone PTZ1 file)
 ///
-/// slot_crc (version 2, the default — see pario::set_write_checksums) is a
-/// CRC32C over the slot's first five fields, so a torn table write can
-/// never masquerade as a valid entry; version-1 archives use 5-u64 slots
-/// with no checksum and are still read.
+/// slot_crc is a CRC32C over the slot's first five fields, so a torn table
+/// write can never masquerade as a valid entry. Writers emit version 2;
+/// version-1 archives (5-u64 slots, no checksum, version-1 PTZ1 blobs) are
+/// read-only: still read, but appends to them are rejected.
 ///
 /// When the primary table fills, appends no longer stop: a *continuation
 /// table* is materialized where the next blob would have gone —
@@ -33,10 +33,10 @@
 /// continuation header (short file, wrong magic, implausible capacity, bad
 /// header_check) ends the chain exactly like a clean EOF, so a crash while
 /// materializing a table is indistinguishable from never having grown.
-/// header_check is a CRC32C over the magic and capacity in version-2
-/// archives and zero (unchecked) in version 1; slots use the archive's
-/// slot format. ArchiveFull is thrown only at the configurable
-/// process-wide hard cap (set_archive_hard_cap).
+/// header_check is a CRC32C over the magic and capacity (zero and unchecked
+/// in version-1 archives); slots use the archive's slot format. ArchiveFull
+/// is thrown only at the configurable process-wide hard cap
+/// (set_archive_hard_cap).
 ///
 /// Append protocol (collective): every rank parses the header independently
 /// (deterministic, zero messages) and agrees on the placement; the payload
@@ -103,7 +103,8 @@ void archive_create(const std::string& path, const mps::Comm& comm,
 /// match the archive's step_dims; its time factor rows give step_count.
 /// Windows must be appended contiguously: step_first must equal the
 /// archive's current step_end (0 for the first entry). \p eps is recorded
-/// in the entry table as the window's eq. 3 bound.
+/// in the entry table as the window's eq. 3 bound. A version-1 archive is
+/// rejected with InvalidArgument before any byte is written.
 void archive_append_model(const std::string& path, std::uint64_t step_first,
                           double eps, const dist::DistTensor& core,
                           std::span<const tensor::Matrix> factors,

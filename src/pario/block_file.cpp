@@ -1,26 +1,22 @@
 #include "pario/block_file.hpp"
 
-#include "util/crc32c.hpp"
-
 namespace ptucker::pario {
 
 namespace {
 constexpr char kMagicBlock[4] = {'P', 'T', 'B', '1'};
 constexpr char kMagicTensor[4] = {'P', 'T', 'T', '1'};
-constexpr std::uint64_t kVersionPlain = 1;  // no checksums
+constexpr std::uint64_t kVersionPlain = 1;  // read-only: no checksums
 constexpr std::uint64_t kVersionCrc = 2;    // + per-block CRC32C table
 
-/// Header bytes: magic + version + order + dims + grid + offset table
-/// (+ crc table in version 2).
-std::uint64_t ptb1_header_bytes(std::size_t order, std::uint64_t ranks,
-                                bool crc) {
-  return 4 +
-         sizeof(std::uint64_t) * (2 + 2 * order + ranks + (crc ? ranks : 0));
-}
-
-/// Byte offset of the crc table (version 2): right after the offset table.
+/// Byte offset of the crc table: magic + version + order + dims + grid +
+/// offset table.
 std::uint64_t ptb1_crc_table_offset(std::size_t order, std::uint64_t ranks) {
   return 4 + sizeof(std::uint64_t) * (2 + 2 * order + ranks);
+}
+
+/// Header bytes: everything up to the end of the crc table.
+std::uint64_t ptb1_header_bytes(std::size_t order, std::uint64_t ranks) {
+  return ptb1_crc_table_offset(order, ranks) + sizeof(std::uint64_t) * ranks;
 }
 }  // namespace
 
@@ -74,9 +70,7 @@ tensor::Tensor BlockFile::read_ranges(
 std::uint64_t ptb1_file_bytes(const tensor::Dims& dims,
                               const std::vector<int>& grid) {
   const auto offsets = detail::block_offsets(dims, grid, 0);
-  return ptb1_header_bytes(dims.size(), offsets.size() - 1,
-                           write_checksums()) +
-         offsets.back();
+  return ptb1_header_bytes(dims.size(), offsets.size() - 1) + offsets.back();
 }
 
 void write_dist_tensor(const std::string& path, const dist::DistTensor& x) {
@@ -84,24 +78,21 @@ void write_dist_tensor(const std::string& path, const dist::DistTensor& x) {
   const mps::CartGrid& grid = x.grid();
   const std::size_t order = x.global_dims().size();
   const std::uint64_t ranks = static_cast<std::uint64_t>(comm.size());
-  const bool crc = write_checksums();
-  const std::uint64_t header = ptb1_header_bytes(order, ranks, crc);
+  const std::uint64_t header = ptb1_header_bytes(order, ranks);
   const auto offsets =
       detail::block_offsets(x.global_dims(), grid.shape(), header);
 
   if (comm.rank() == 0) {
     detail::HeaderWriter w;
     w.magic(kMagicBlock);
-    w.u64(crc ? kVersionCrc : kVersionPlain);
+    w.u64(kVersionCrc);
     w.u64(static_cast<std::uint64_t>(order));
     for (std::size_t d : x.global_dims()) w.u64(d);
     for (int e : grid.shape()) w.u64(static_cast<std::uint64_t>(e));
     for (std::uint64_t b = 0; b < ranks; ++b) w.u64(offsets[b]);
     // crc slots are zero-filled here and overwritten by the owning ranks;
     // an empty block keeps 0, which is exactly crc32c of zero bytes.
-    if (crc) {
-      for (std::uint64_t b = 0; b < ranks; ++b) w.u64(0);
-    }
+    for (std::uint64_t b = 0; b < ranks; ++b) w.u64(0);
     PT_CHECK(w.size() == header, "pario: PTB1 header size mismatch");
     File f = File::create(path);
     f.write_at(0, w.bytes().data(), w.bytes().size());
@@ -110,19 +101,10 @@ void write_dist_tensor(const std::string& path, const dist::DistTensor& x) {
     f.truncate(offsets.back());
   }
   comm.barrier();  // header visible before any block lands
-  if (x.local().size() > 0) {
-    const File f = File::open_write(path);
-    if (crc) {
-      const std::uint64_t c64 = util::crc32c(
-          0, x.local().data(), x.local().size() * sizeof(double));
-      f.write_at(ptb1_crc_table_offset(order, ranks) +
-                     sizeof(std::uint64_t) *
-                         static_cast<std::uint64_t>(comm.rank()),
-                 &c64, sizeof(c64));
-    }
-    f.write_at(offsets[static_cast<std::size_t>(comm.rank())],
-               x.local().data(), x.local().size() * sizeof(double));
-  }
+  const auto rank = static_cast<std::uint64_t>(comm.rank());
+  detail::write_block(
+      path, ptb1_crc_table_offset(order, ranks) + sizeof(std::uint64_t) * rank,
+      offsets[rank], x.local());
   comm.barrier();  // file complete before any rank returns
 }
 

@@ -9,11 +9,10 @@
 ///   | u64 block_crc[prod(grid)]          (version 2 only)
 ///   | f64 block payloads ...
 ///
-/// Version 2 (the default since the robustness PR; see
-/// pario::set_write_checksums) adds one CRC32C per block — stored in the
-/// low 32 bits of a u64 slot, written by the owning rank alongside its
-/// payload — verified on any read that fully covers a block. Version-1
-/// files are still read (no verification).
+/// The writer emits version 2: one CRC32C per block — stored in the low 32
+/// bits of a u64 slot, written by the owning rank alongside its payload —
+/// verified on any read that fully covers a block. Version-1 files (no crc
+/// table) are read-only: still read, without verification.
 ///
 /// Block b (grid-rank order, coordinate 0 fastest — the CartGrid
 /// linearization) holds the uniform_block sub-tensor of every mode at b's
@@ -54,9 +53,6 @@ class BlockFile {
   [[nodiscard]] tensor::Tensor read_ranges(
       const std::vector<util::Range>& ranges) const;
 
-  /// True for a version-2 (checksummed) file.
-  [[nodiscard]] bool checksummed() const { return !crcs_.empty(); }
-
  private:
   BlockFile() = default;
   File file_;
@@ -78,8 +74,8 @@ void write_dist_tensor(const std::string& path, const dist::DistTensor& x);
 [[nodiscard]] dist::DistTensor read_dist_tensor(
     std::shared_ptr<mps::CartGrid> grid, const std::string& path);
 
-/// Total byte size of the PTB1 container for the given dims and grid, for
-/// the version the current pario::write_checksums() setting would emit.
+/// Total byte size of the PTB1 container write_dist_tensor emits for the
+/// given dims and grid.
 [[nodiscard]] std::uint64_t ptb1_file_bytes(const tensor::Dims& dims,
                                             const std::vector<int>& grid);
 

@@ -6,15 +6,19 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <vector>
 
 namespace ptucker::pario::faults {
 
 namespace {
 
 /// All mutable state behind one atomic pointer: arm() installs a fresh
-/// (leaked) block so rank-threads mid-I/O never race a reconfiguration.
-/// Leaking is deliberate — plans are armed a handful of times per test
-/// process and a stale pointer held by a concurrent reader stays valid.
+/// block so rank-threads mid-I/O never race a reconfiguration. arm() keeps
+/// every block it installs until exit, so a stale pointer held by a
+/// concurrent reader stays valid — plans are armed a handful of times per
+/// test process.
 struct State {
   FaultPlan plan;
   std::atomic<std::uint64_t> decisions{0};  ///< rng stream position
@@ -58,9 +62,13 @@ State* matching_state(const std::string& path) {
 }  // namespace
 
 void arm(const FaultPlan& plan) {
-  auto* s = new State;
+  static std::mutex owned_mutex;
+  static std::vector<std::unique_ptr<State>> owned;  // guarded by owned_mutex
+  auto s = std::make_unique<State>();
   s->plan = plan;
-  g_state.store(s, std::memory_order_release);
+  const std::lock_guard<std::mutex> lock(owned_mutex);
+  owned.push_back(std::move(s));
+  g_state.store(owned.back().get(), std::memory_order_release);
 }
 
 void disarm() { g_state.store(nullptr, std::memory_order_release); }

@@ -57,6 +57,16 @@ void verify_crc32c(const char* container, const File& file,
   throw ChecksumError(os.str());
 }
 
+void write_block(const std::string& path, std::uint64_t crc_slot,
+                 std::uint64_t offset, const tensor::Tensor& block) {
+  if (block.size() == 0) return;
+  const std::size_t bytes = block.size() * sizeof(double);
+  const std::uint64_t c64 = util::crc32c(0, block.data(), bytes);
+  const File f = File::open_write(path);
+  f.write_at(crc_slot, &c64, sizeof(c64));
+  f.write_at(offset, block.data(), bytes);
+}
+
 std::vector<util::Range> block_ranges(const tensor::Dims& dims,
                                       const std::vector<int>& grid, int b) {
   PT_CHECK(dims.size() == grid.size(), "block_ranges: dims/grid order");

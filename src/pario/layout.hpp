@@ -2,8 +2,8 @@
 /// \file layout.hpp
 /// \brief Shared machinery of the chunked containers (PTB1 / PTZ1): the
 /// block-offset table of a tensor split over a grid, header (de)serialization
-/// helpers, and the positioned-read of an arbitrary hyper-rectangle out of a
-/// blocked layout.
+/// helpers, the per-rank block write, and the positioned-read of an
+/// arbitrary hyper-rectangle out of a blocked layout.
 ///
 /// A "blocked layout" stores the uniform_block sub-tensor of every grid rank
 /// contiguously (first-index-fastest within the block), in grid-rank order
@@ -14,6 +14,7 @@
 /// truncation is detectable without trusting arithmetic on corrupt fields.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "pario/posix_file.hpp"
@@ -57,6 +58,14 @@ namespace ptucker::pario::detail {
     const std::vector<std::uint64_t>& offsets,
     const std::vector<util::Range>& ranges,
     const std::vector<std::uint64_t>& block_crcs = {});
+
+/// Write one rank's block of a blocked layout: its CRC32C into the u64 slot
+/// at \p crc_slot, then its payload at \p offset, both absolute positions in
+/// \p path. The step every rank takes between the two barriers of the PTB1
+/// and PTZ1 writers. An empty block writes nothing: its zero-filled slot
+/// already holds the crc32c of zero bytes.
+void write_block(const std::string& path, std::uint64_t crc_slot,
+                 std::uint64_t offset, const tensor::Tensor& block);
 
 /// Compare \p computed against the stored low-32 bits of \p stored (the
 /// header field is a u64 slot for alignment); throws ChecksumError naming

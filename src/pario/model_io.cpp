@@ -9,7 +9,7 @@ namespace ptucker::pario {
 
 namespace {
 constexpr char kMagicModel[4] = {'P', 'T', 'Z', '1'};
-constexpr std::uint64_t kVersionPlain = 1;  // no checksums
+constexpr std::uint64_t kVersionPlain = 1;  // read-only: no checksums
 constexpr std::uint64_t kVersionCrc = 2;    // + core_crc[R] + factor_crc
 
 /// Ceiling on the per-species stats count a header may claim; far above any
@@ -23,13 +23,13 @@ std::uint64_t stats_bytes(std::size_t count) {
                                             "pario: PTZ1 stats");
 }
 
-/// Version 2 appends, after the core_offset table: one CRC32C u64 slot per
-/// core block (written by the owning rank) and one factor_crc u64 over the
-/// whole factor payload region.
+/// Version-2 header bytes. After the core_offset table come one CRC32C u64
+/// slot per core block (written by the owning rank) and one factor_crc u64
+/// over the whole factor payload region.
 std::uint64_t header_bytes(std::size_t order, std::uint64_t ranks,
-                           std::size_t stats_count, bool crc) {
+                           std::size_t stats_count) {
   const std::uint64_t words = util::checked_add(
-      2 + 4 * order + 1 + (crc ? ranks + 1 : 0), ranks, "pario: PTZ1 header");
+      2 + 4 * order + 1 + ranks + 1, ranks, "pario: PTZ1 header");
   return util::checked_add(
       4 + util::checked_mul(sizeof(std::uint64_t), words,
                             "pario: PTZ1 header"),
@@ -55,8 +55,7 @@ std::uint64_t ptz1_file_bytes(const tensor::Dims& core_dims,
   const auto offsets = detail::block_offsets(core_dims, grid, 0);
   return util::checked_add(
       util::checked_add(
-          header_bytes(core_dims.size(), offsets.size() - 1, stats_count,
-                       write_checksums()),
+          header_bytes(core_dims.size(), offsets.size() - 1, stats_count),
           factor_bytes(factors), "pario: PTZ1 size"),
       offsets.back(), "pario: PTZ1 size");
 }
@@ -83,8 +82,7 @@ std::uint64_t write_model_at(const std::string& path, std::uint64_t base,
   }
   const std::size_t stats_count = stats == nullptr ? 0 : stats->mean.size();
   const std::uint64_t ranks = static_cast<std::uint64_t>(comm.size());
-  const bool crc = write_checksums();
-  const std::uint64_t head = header_bytes(order, ranks, stats_count, crc);
+  const std::uint64_t head = header_bytes(order, ranks, stats_count);
   const std::uint64_t data_base = head + factor_bytes(factors);
   // Offsets are blob-relative: base + offsets[b] is the absolute position.
   const auto offsets =
@@ -97,7 +95,7 @@ std::uint64_t write_model_at(const std::string& path, std::uint64_t base,
   if (comm.rank() == 0) {
     detail::HeaderWriter w;
     w.magic(kMagicModel);
-    w.u64(crc ? kVersionCrc : kVersionPlain);
+    w.u64(kVersionCrc);
     w.u64(static_cast<std::uint64_t>(order));
     for (std::size_t d : core.global_dims()) w.u64(d);
     for (int e : core.grid().shape()) w.u64(static_cast<std::uint64_t>(e));
@@ -111,17 +109,15 @@ std::uint64_t write_model_at(const std::string& path, std::uint64_t base,
       w.f64s(stats->stdev.data(), stats_count);
     }
     for (std::uint64_t b = 0; b < ranks; ++b) w.u64(offsets[b]);
-    if (crc) {
-      // Core crc slots: zero-filled, overwritten by the owning ranks (an
-      // empty block keeps 0 = crc32c of zero bytes). factor_crc covers the
-      // factor payload region exactly as it is serialized below.
-      for (std::uint64_t b = 0; b < ranks; ++b) w.u64(0);
-      std::uint32_t fcrc = 0;
-      for (const tensor::Matrix& u : factors) {
-        fcrc = util::crc32c(fcrc, u.data(), u.size() * sizeof(double));
-      }
-      w.u64(fcrc);
+    // Core crc slots: zero-filled, overwritten by the owning ranks (an
+    // empty block keeps 0 = crc32c of zero bytes). factor_crc covers the
+    // factor payload region exactly as it is serialized below.
+    for (std::uint64_t b = 0; b < ranks; ++b) w.u64(0);
+    std::uint32_t fcrc = 0;
+    for (const tensor::Matrix& u : factors) {
+      fcrc = util::crc32c(fcrc, u.data(), u.size() * sizeof(double));
     }
+    w.u64(fcrc);
     for (const tensor::Matrix& u : factors) w.f64s(u.data(), u.size());
     PT_CHECK(w.size() == data_base, "pario: PTZ1 header size mismatch");
     File f = create ? File::create(path) : File::open_write(path);
@@ -129,21 +125,11 @@ std::uint64_t write_model_at(const std::string& path, std::uint64_t base,
     f.truncate(end);
   }
   comm.barrier();
-  if (core.local().size() > 0) {
-    const File f = File::open_write(path);
-    if (crc) {
-      const std::uint64_t c64 = util::crc32c(
-          0, core.local().data(), core.local().size() * sizeof(double));
-      // The crc table sits ranks+1 u64s before the factor payloads.
-      const std::uint64_t crc_table = head - sizeof(std::uint64_t) * (ranks + 1);
-      f.write_at(base + crc_table +
-                     sizeof(std::uint64_t) *
-                         static_cast<std::uint64_t>(comm.rank()),
-                 &c64, sizeof(c64));
-    }
-    f.write_at(base + offsets[static_cast<std::size_t>(comm.rank())],
-               core.local().data(), core.local().size() * sizeof(double));
-  }
+  // The core crc table sits ranks+1 u64s before the factor payloads.
+  const std::uint64_t crc_table = head - sizeof(std::uint64_t) * (ranks + 1);
+  const auto rank = static_cast<std::uint64_t>(comm.rank());
+  detail::write_block(path, base + crc_table + sizeof(std::uint64_t) * rank,
+                      base + offsets[rank], core.local());
   comm.barrier();
   return blob_bytes;
 }

@@ -14,10 +14,10 @@
 ///   | f64 factor payloads (column-major, mode order)
 ///   | core blocks (grid-rank order, as in PTB1)
 ///
-/// Version 2 (the default; see pario::set_write_checksums) carries one
-/// CRC32C per core block plus one over the whole factor payload region,
-/// each in the low 32 bits of a u64 slot, verified on read. Version-1
-/// blobs are still read (no verification).
+/// The writer emits version 2: one CRC32C per core block plus one over the
+/// whole factor payload region, each in the low 32 bits of a u64 slot,
+/// verified on read. Version-1 blobs (no crc fields) are read-only: still
+/// read, without verification.
 ///
 /// Everything up to the core blocks is written by rank 0 (factors are
 /// replicated, so no gather is needed); every rank then pwrites its own

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/hooi.hpp"
@@ -137,7 +138,7 @@ TEST(TsqrGeneral, EmptyModeBlocksHandled) {
 }
 
 /// ISSUE acceptance: on a 2x2(x1) grid the TSQR route runs on every mode —
-/// tsqr_modes records all of them — and the result matches the Gram route
+/// mode_routes records all of them — and the result matches the Gram route
 /// and the sequential reference with the eq. 3 bound intact.
 TEST(TsqrGeneral, SthosvdNoFallbackOn2x2Grid) {
   const Dims dims{8, 9, 7};
@@ -153,7 +154,8 @@ TEST(TsqrGeneral, SthosvdNoFallbackOn2x2Grid) {
 
     const auto a = core::st_hosvd(x, gram_opts);
     const auto b = core::st_hosvd(x, tsqr_opts);
-    EXPECT_EQ(b.tsqr_modes, (std::vector<int>{0, 1, 2}))
+    EXPECT_EQ(b.mode_routes,
+              std::vector<core::FactorRoute>(3, core::FactorRoute::Tsqr))
         << "TSQR must be exercised on every mode, not silently fall back";
     EXPECT_EQ(a.tucker.core_dims(), b.tucker.core_dims());
     EXPECT_LE(b.error_bound, eps);
@@ -216,8 +218,11 @@ TEST(TsqrGeneral, SthosvdAutoRoutesTallSkinnyModeThroughTsqr) {
     opts.factor_method = core::FactorMethod::Auto;
     const auto result = core::st_hosvd(x, opts);
     // Mode 0 is tall-skinny (4 x 3600, P0 = 2): the model routes it through
-    // TSQR; the fat later modes stay on the Gram route.
-    EXPECT_EQ(result.tsqr_modes, (std::vector<int>{0}));
+    // TSQR; the fat later modes take other routes.
+    const auto& routes = result.mode_routes;
+    EXPECT_EQ(routes[0], core::FactorRoute::Tsqr);
+    EXPECT_EQ(std::count(routes.begin(), routes.end(), core::FactorRoute::Tsqr),
+              1);
     EXPECT_EQ(result.tucker.core_dims(), (Dims{3, 5, 5}));
   });
 }

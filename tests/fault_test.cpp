@@ -56,18 +56,6 @@ class RetryPolicyGuard {
   pario::RetryPolicy saved_;
 };
 
-/// Restore the checksum-writing toggle on scope exit.
-class ChecksumToggle {
- public:
-  explicit ChecksumToggle(bool on) : saved_(pario::write_checksums()) {
-    pario::set_write_checksums(on);
-  }
-  ~ChecksumToggle() { pario::set_write_checksums(saved_); }
-
- private:
-  bool saved_;
-};
-
 std::uint64_t counter_value(const char* name) {
   return obs::registry().counter(name).value();
 }
@@ -81,14 +69,6 @@ void flip_byte(const std::string& path, std::uint64_t offset) {
   b = static_cast<char>(b ^ 0x01);
   fs.seekp(static_cast<std::streamoff>(offset));
   fs.write(&b, 1);
-}
-
-std::uint64_t read_version_word(const std::string& path) {
-  std::ifstream fs(path, std::ios::binary);
-  fs.seekg(4);  // past the magic
-  std::uint64_t v = 0;
-  fs.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
 }
 
 /// Write a {2,1,1}-grid PTB1 tensor of \p dims at \p path.
@@ -326,30 +306,6 @@ TEST(Corruption, Pta1TornTableSlotIsNamedInChecksumError) {
     EXPECT_NE(what.find("table slot 0"), std::string::npos) << what;
   }
   std::filesystem::remove(path);
-}
-
-TEST(Compat, ChecksumsOffWritesVersionOneAndBothVersionsRead) {
-  const std::string v1 = temp_path("ptucker_compat_v1.ptb");
-  const std::string v2 = temp_path("ptucker_compat_v2.ptb");
-  const Dims dims{8, 6, 5};
-  {
-    ChecksumToggle off(false);
-    build_ptb1(v1, dims, 67);
-  }
-  build_ptb1(v2, dims, 67);
-  EXPECT_EQ(read_version_word(v1), 1u);
-  EXPECT_EQ(read_version_word(v2), 2u);
-  // The v1 file is the pre-checksum layout byte for byte.
-  {
-    ChecksumToggle off(false);
-    EXPECT_EQ(std::filesystem::file_size(v1),
-              pario::ptb1_file_bytes(dims, {2, 1, 1}));
-  }
-  EXPECT_LT(std::filesystem::file_size(v1), std::filesystem::file_size(v2));
-  expect_ptb1_roundtrips(v1, dims, 67);
-  expect_ptb1_roundtrips(v2, dims, 67);
-  std::filesystem::remove(v1);
-  std::filesystem::remove(v2);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,17 +19,11 @@
 namespace ptucker {
 namespace {
 
-/// A runtime with verification on and a short recv deadline.
-void run_verified(int p, const std::function<void(mps::Comm&)>& body) {
-  mps::Runtime rt(p);
-  rt.set_recv_timeout_ms(30000);
-  rt.set_verify_schedule(true);
-  rt.run(body);
-}
+using testing::run_ranks;  // verification on, short recv deadline
 
 TEST(Schedule, MatchingScheduleVerifiesClean) {
   for (int p : {1, 2, 3, 4}) {
-    EXPECT_NO_THROW(run_verified(p, [](mps::Comm& comm) {
+    EXPECT_NO_THROW(run_ranks(p, [](mps::Comm& comm) {
       std::vector<double> buf(8, comm.rank() == 0 ? 3.0 : 0.0);
       mps::broadcast(comm, std::span<double>(buf), 0);
       double s = buf[0];
@@ -46,7 +40,7 @@ TEST(Schedule, DivergentBroadcastIsFlagged) {
   // InternalError at finalize; with verification the diagnosis names the
   // collective instead.
   try {
-    run_verified(2, [](mps::Comm& comm) {
+    run_ranks(2, [](mps::Comm& comm) {
       if (comm.rank() == 0) {
         std::vector<double> buf(4, 1.0);
         mps::broadcast(comm, std::span<double>(buf), 0);
@@ -66,14 +60,12 @@ TEST(Schedule, SilentRankIsFlaggedEvenWithZeroCalls) {
   // silence is detectable, not just different noise. Broadcast is used
   // because its sends are eager: the participating ranks complete even
   // though rank 2 never shows up.
-  EXPECT_THROW(run_verified(3,
-                            [](mps::Comm& comm) {
-                              if (comm.rank() == 2) return;  // silent rank
-                              std::vector<double> buf(4,
-                                                      1.0 * comm.rank());
-                              mps::broadcast(comm, std::span<double>(buf),
-                                             0);
-                            }),
+  EXPECT_THROW(run_ranks(3,
+                         [](mps::Comm& comm) {
+                           if (comm.rank() == 2) return;  // silent rank
+                           std::vector<double> buf(4, 1.0 * comm.rank());
+                           mps::broadcast(comm, std::span<double>(buf), 0);
+                         }),
                mps::ScheduleMismatchError);
 }
 
@@ -81,22 +73,23 @@ TEST(Schedule, VerificationOffFallsBackToQuiescenceError) {
   // Same divergence with verification off: the runtime still fails, but
   // with the generic leaked-message InternalError — demonstrating what the
   // schedule check adds (ScheduleMismatchError is not an InternalError).
-  EXPECT_THROW(testing::run_ranks(2,
-                                  [](mps::Comm& comm) {
-                                    if (comm.rank() == 0) {
-                                      std::vector<double> buf(4, 1.0);
-                                      mps::broadcast(
-                                          comm, std::span<double>(buf), 0);
-                                    }
-                                  }),
-               InternalError);
+  // Its own runtime: testing::run_ranks turns verification on.
+  mps::Runtime rt(2);
+  rt.set_recv_timeout_ms(30000);
+  const auto divergent = [](mps::Comm& comm) {
+    if (comm.rank() == 0) {
+      std::vector<double> buf(4, 1.0);
+      mps::broadcast(comm, std::span<double>(buf), 0);
+    }
+  };
+  EXPECT_THROW(rt.run(divergent), InternalError);
 }
 
 TEST(Schedule, SplitColorsMayRunDifferentSchedules) {
   // Ranks in different split colors legitimately run different collective
   // sequences on their sub-communicators; only members of the SAME context
   // are compared.
-  EXPECT_NO_THROW(run_verified(4, [](mps::Comm& comm) {
+  EXPECT_NO_THROW(run_ranks(4, [](mps::Comm& comm) {
     mps::Comm sub = comm.split(comm.rank() % 2, comm.rank());
     if (comm.rank() % 2 == 0) {
       sub.barrier();
@@ -133,7 +126,7 @@ TEST(Schedule, NestedCollectivesFingerprintOnlyTheOuterOp) {
   // allreduce is built from reduce_scatter/allgatherv (or reduce+broadcast)
   // internally; the fingerprint must record ONE allreduce, not its guts, so
   // algorithm choice can't masquerade as divergence.
-  run_verified(2, [](mps::Comm& comm) {
+  run_ranks(2, [](mps::Comm& comm) {
     double v = 1.0;
     v = mps::allreduce_scalar(comm, v);
     EXPECT_DOUBLE_EQ(v, 2.0);
@@ -148,7 +141,7 @@ TEST(Schedule, NestedCollectivesFingerprintOnlyTheOuterOp) {
 TEST(Schedule, AsyncMatchingScheduleVerifiesClean) {
   // Nonblocking ops fingerprint at INITIATION, so a matching istart/wait
   // schedule verifies exactly like its blocking counterpart.
-  EXPECT_NO_THROW(run_verified(3, [](mps::Comm& comm) {
+  EXPECT_NO_THROW(run_ranks(3, [](mps::Comm& comm) {
     std::vector<double> buf(6, comm.rank() == 0 ? 2.0 : 0.0);
     mps::CollectiveHandle hb =
         mps::ibroadcast(comm, std::span<double>(buf), 0);
@@ -168,7 +161,7 @@ TEST(Schedule, AsyncDivergenceIsFlaggedWithOpNamed) {
   // record their fingerprint at initiation, the verifier names the
   // collective just as it does for the blocking form.
   try {
-    run_verified(2, [](mps::Comm& comm) {
+    run_ranks(2, [](mps::Comm& comm) {
       if (comm.rank() == 0) {
         std::vector<double> buf(4, 1.0);
         mps::ibroadcast(comm, std::span<double>(buf), 0).wait();

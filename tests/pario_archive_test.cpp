@@ -307,55 +307,49 @@ TEST(Archive, RejectsMisuse) {
 }
 
 /// Chaining: a small primary table grows through continuation tables and
-/// every entry stays readable — across grids, and in both container
-/// versions (v2 slot/header checksums and plain v1).
+/// every entry stays readable across grids. Version-1 chains are pinned by
+/// the fixtures in pario_compat_test.
 TEST(Archive, ChainsPastCapacityThroughContinuationTables) {
-  for (const bool crc : {true, false}) {
-    const bool saved = pario::write_checksums();
-    pario::set_write_checksums(crc);
-    const std::string path = temp_path("ptucker_arch_chain.pta");
-    const Dims step_dims{6, 5, 4};
-    const double eps = 1e-5;
-    const std::size_t window = 2;
-    const std::size_t windows = 7;  // capacity 2 -> primary + 3 chained
+  const std::string path = temp_path("ptucker_arch_chain.pta");
+  const Dims step_dims{6, 5, 4};
+  const double eps = 1e-5;
+  const std::size_t window = 2;
+  const std::size_t windows = 7;  // capacity 2 -> primary + 3 chained
 
-    run_ranks(4, [&](mps::Comm& comm) {
-      auto grid = dist::make_grid(comm, {2, 2, 1, 1});
-      pario::archive_create(path, comm, step_dims, -1, /*capacity=*/2);
-      for (std::size_t w = 0; w < windows; ++w) {
-        const TuckerTensor model =
-            window_model(grid, step_dims, w * window, window, eps);
-        pario::archive_append_model(
-            path, w * window, eps, model.core,
-            std::span<const tensor::Matrix>(model.factors));
-      }
-    });
+  run_ranks(4, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {2, 2, 1, 1});
+    pario::archive_create(path, comm, step_dims, -1, /*capacity=*/2);
+    for (std::size_t w = 0; w < windows; ++w) {
+      const TuckerTensor model =
+          window_model(grid, step_dims, w * window, window, eps);
+      pario::archive_append_model(
+          path, w * window, eps, model.core,
+          std::span<const tensor::Matrix>(model.factors));
+    }
+  });
 
-    run_ranks(2, [&](mps::Comm& comm) {
-      auto grid = dist::make_grid(comm, {2, 1, 1, 1});
-      const pario::ArchiveReader reader(path);
-      ASSERT_EQ(reader.entry_count(), windows) << "crc " << crc;
-      EXPECT_EQ(reader.entry_capacity(), 2u);
-      EXPECT_EQ(reader.total_capacity(), 8u);  // 2 + 3 x 2 chained
-      EXPECT_EQ(reader.step_end(), windows * window);
-      for (std::size_t e = 0; e < windows; ++e) {
-        pario::ModelData md = reader.read_entry(e, grid);
-        TuckerTensor model;
-        model.core = std::move(md.core);
-        model.factors = std::move(md.factors);
-        DistTensor expect(grid, model.data_dims());
-        fill_window(expect, reader.entry(e).step_first);
-        const DistTensor got = core::reconstruct(model);
-        EXPECT_LT(testing::max_diff(got.local().data(),
-                                    expect.local().data(),
-                                    got.local().size()),
-                  1e-4)
-            << "crc " << crc << " entry " << e;
-      }
-    });
-    pario::set_write_checksums(saved);
-    std::filesystem::remove(path);
-  }
+  run_ranks(2, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {2, 1, 1, 1});
+    const pario::ArchiveReader reader(path);
+    ASSERT_EQ(reader.entry_count(), windows);
+    EXPECT_EQ(reader.entry_capacity(), 2u);
+    EXPECT_EQ(reader.total_capacity(), 8u);  // 2 + 3 x 2 chained
+    EXPECT_EQ(reader.step_end(), windows * window);
+    for (std::size_t e = 0; e < windows; ++e) {
+      pario::ModelData md = reader.read_entry(e, grid);
+      TuckerTensor model;
+      model.core = std::move(md.core);
+      model.factors = std::move(md.factors);
+      DistTensor expect(grid, model.data_dims());
+      fill_window(expect, reader.entry(e).step_first);
+      const DistTensor got = core::reconstruct(model);
+      EXPECT_LT(testing::max_diff(got.local().data(), expect.local().data(),
+                                  got.local().size()),
+                1e-4)
+          << "entry " << e;
+    }
+  });
+  std::filesystem::remove(path);
 }
 
 /// A torn (or missing) continuation header ends the chain exactly like a

@@ -301,29 +301,23 @@ TEST(ParIo, Ptz1ArchivesNormalizationStats) {
   std::filesystem::remove(path);
 }
 
-TEST(ParIo, SerializedBytesMatchesFileSizeBothVersions) {
-  // PTZ1 version 2 (per-block and factor CRCs) and version 1 differ in
-  // header length; serialized_bytes must follow the active writer.
+TEST(ParIo, SerializedBytesMatchesFileSize) {
+  // serialized_bytes must follow what save_tucker writes: the version-2
+  // PTZ1 header with its per-block and factor CRCs.
   const std::string path = temp_path("ptucker_model_sz.ptz");
-  const bool saved = pario::write_checksums();
-  for (const bool crc : {true, false}) {
-    pario::set_write_checksums(crc);
-    run_ranks(2, [&](mps::Comm& comm) {
-      auto grid = dist::make_grid(comm, {2, 1});
-      const DistTensor x =
-          data::make_low_rank(grid, Dims{10, 8}, Dims{3, 2}, 7, 0.0);
-      core::SthosvdOptions opts;
-      opts.epsilon = 1e-8;
-      const TuckerTensor model = core::st_hosvd(x, opts).tucker;
-      core::save_tucker(path, model);
-      if (comm.rank() == 0) {
-        EXPECT_EQ(std::filesystem::file_size(path),
-                  core::serialized_bytes(model))
-            << "checksums " << crc;
-      }
-    });
-  }
-  pario::set_write_checksums(saved);
+  run_ranks(2, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {2, 1});
+    const DistTensor x =
+        data::make_low_rank(grid, Dims{10, 8}, Dims{3, 2}, 7, 0.0);
+    core::SthosvdOptions opts;
+    opts.epsilon = 1e-8;
+    const TuckerTensor model = core::st_hosvd(x, opts).tucker;
+    core::save_tucker(path, model);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(std::filesystem::file_size(path),
+                core::serialized_bytes(model));
+    }
+  });
   std::filesystem::remove(path);
 }
 

@@ -134,7 +134,8 @@ TEST(Tsqr, SthosvdWithTsqrMatchesGramResults) {
     const auto a = core::st_hosvd(x, gram_opts);
     const auto b = core::st_hosvd(x, tsqr_opts);
     EXPECT_EQ(a.tucker.core_dims(), b.tucker.core_dims());
-    EXPECT_EQ(b.tsqr_modes, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(b.mode_routes,
+              std::vector<core::FactorRoute>(3, core::FactorRoute::Tsqr));
     const double err_a =
         core::normalized_error(x, core::reconstruct(a.tucker));
     const double err_b =
