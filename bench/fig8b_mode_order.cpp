@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
           data::make_low_rank(grid, dims, ranks, 9, 0.01);
       core::SthosvdOptions opts;
       opts.fixed_ranks = ranks;
-      opts.order_strategy = core::ModeOrderStrategy::Custom;
-      opts.custom_order = order;
+      opts.mode_order = order;
       const double t = bench::time_region(comm, [&] {
         (void)core::st_hosvd(x, opts);
       });

@@ -26,7 +26,7 @@ run "$BUILD/fig6_modewise_error" --scale 0.02 --ranks 2
 run "$BUILD/fig8a_grid_sweep" --dim 12 --reduced 3 --ranks 4 --max_grids 4
 run "$BUILD/fig9b_weak_scaling" --base_dim 16 --max_ranks 2
 run "$BUILD/ablate_ttm_paths" --dim 32 --ranks 8
-run "$BUILD/ablate_gram_symmetry" --dim 48 --ranks 8
+run "$BUILD/ablate_gram_symmetry" --dim 96
 run "$BUILD/ablate_factor_routes" --dim 64 --skinny 8 --ranks 8
 run "$BUILD/ablate_io_paths" --dim 48 --ranks 4
 run "$BUILD/grid_tuning" --ranks 4 --dim 16 --rank 4

@@ -50,7 +50,7 @@ HooiResult hooi(const DistTensor& x, const SthosvdOptions& init_options,
             &transposed[static_cast<std::size_t>(m)];
         ttm_order.push_back(m);
       }
-      y = dist::ttm_chain(x, ptrs, ttm_order, options.ttm_algo);
+      y = dist::ttm_chain(x, ptrs, ttm_order);
 
       const std::size_t rank = ranks[static_cast<std::size_t>(n)];
       const dist::RankSelection select = dist::RankSelection::fixed_rank(rank);
@@ -63,7 +63,7 @@ HooiResult hooi(const DistTensor& x, const SthosvdOptions& init_options,
       } else if (route == FactorRoute::Tsqr) {
         factor = dist::factor_via_tsqr(y, n, select);
       } else {
-        const dist::GramColumns s = dist::gram(y, n, options.gram_algo);
+        const dist::GramColumns s = dist::gram(y, n);
         factor = dist::eigenvectors(s, y.grid(), n, select);
       }
       factors[static_cast<std::size_t>(n)] = std::move(factor.u);
@@ -72,7 +72,7 @@ HooiResult hooi(const DistTensor& x, const SthosvdOptions& init_options,
     // (Alg. 2 line 9 exploits this).
     const Matrix ut_last =
         factors[static_cast<std::size_t>(order - 1)].transposed();
-    result.tucker.core = dist::ttm(y, ut_last, order - 1, options.ttm_algo);
+    result.tucker.core = dist::ttm(y, ut_last, order - 1);
 
     const double new_err_sq = rel_error_sq(result.tucker.core.norm_squared());
     result.error_history.push_back(std::sqrt(new_err_sq));

@@ -1,98 +1,27 @@
 #include "core/mode_order.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "util/error.hpp"
 
 namespace ptucker::core {
 
-namespace {
-
-/// Greedy flop-minimizing order (Vannieuwenhoven et al. heuristic, cited in
-/// paper Sec. VIII-C): at each step pick the unprocessed mode whose
-/// Gram + TTM flops for the *current* working dims are smallest.
-std::vector<int> greedy_flops_order(const tensor::Dims& dims,
-                                    const std::vector<std::size_t>& ranks) {
-  const int order = static_cast<int>(dims.size());
-  tensor::Dims work = dims;
-  std::vector<bool> done(dims.size(), false);
-  std::vector<int> result;
-  for (int step = 0; step < order; ++step) {
-    int best = -1;
-    double best_cost = 0.0;
-    const double volume = static_cast<double>(tensor::prod(work));
-    for (int n = 0; n < order; ++n) {
-      if (done[static_cast<std::size_t>(n)]) continue;
-      const double jn = static_cast<double>(work[static_cast<std::size_t>(n)]);
-      const double rn =
-          ranks.empty()
-              ? jn  // unknown target rank: assume no reduction for the TTM
-              : static_cast<double>(ranks[static_cast<std::size_t>(n)]);
-      // Gram: 2 * Jn * J; TTM: 2 * Rn * J flops on the current working size.
-      const double cost = 2.0 * jn * volume + 2.0 * rn * volume;
-      if (best < 0 || cost < best_cost) {
-        best = n;
-        best_cost = cost;
-      }
-    }
-    result.push_back(best);
-    done[static_cast<std::size_t>(best)] = true;
-    if (!ranks.empty()) {
-      work[static_cast<std::size_t>(best)] =
-          ranks[static_cast<std::size_t>(best)];
-    }
+std::vector<int> resolve_mode_order(int order,
+                                    const std::vector<int>& mode_order) {
+  if (mode_order.empty()) {
+    std::vector<int> natural(static_cast<std::size_t>(order));
+    std::iota(natural.begin(), natural.end(), 0);
+    return natural;
   }
-  return result;
-}
-
-/// Greedy compression-ratio order: maximize In/Rn first (paper Sec. VIII-C
-/// "another reasonable heuristic").
-std::vector<int> greedy_ratio_order(const tensor::Dims& dims,
-                                    const std::vector<std::size_t>& ranks) {
-  std::vector<int> order(dims.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    const double ra = static_cast<double>(dims[static_cast<std::size_t>(a)]) /
-                      static_cast<double>(ranks[static_cast<std::size_t>(a)]);
-    const double rb = static_cast<double>(dims[static_cast<std::size_t>(b)]) /
-                      static_cast<double>(ranks[static_cast<std::size_t>(b)]);
-    return ra > rb;
-  });
-  return order;
-}
-
-}  // namespace
-
-std::vector<int> resolve_mode_order(ModeOrderStrategy strategy,
-                                    const tensor::Dims& dims,
-                                    const std::vector<std::size_t>& ranks,
-                                    const std::vector<int>& custom) {
-  const int order = static_cast<int>(dims.size());
-  switch (strategy) {
-    case ModeOrderStrategy::Natural: {
-      std::vector<int> result(dims.size());
-      std::iota(result.begin(), result.end(), 0);
-      return result;
-    }
-    case ModeOrderStrategy::Custom: {
-      PT_REQUIRE(static_cast<int>(custom.size()) == order,
-                 "custom mode order must be a permutation of all modes");
-      std::vector<bool> seen(dims.size(), false);
-      for (int n : custom) {
-        PT_REQUIRE(n >= 0 && n < order && !seen[static_cast<std::size_t>(n)],
-                   "custom mode order is not a permutation");
-        seen[static_cast<std::size_t>(n)] = true;
-      }
-      return custom;
-    }
-    case ModeOrderStrategy::GreedyFlops:
-      return greedy_flops_order(dims, ranks);
-    case ModeOrderStrategy::GreedyRatio:
-      if (ranks.empty()) return greedy_flops_order(dims, ranks);
-      return greedy_ratio_order(dims, ranks);
+  PT_REQUIRE(static_cast<int>(mode_order.size()) == order,
+             "mode order must be a permutation of all modes");
+  std::vector<bool> seen(static_cast<std::size_t>(order), false);
+  for (int n : mode_order) {
+    PT_REQUIRE(n >= 0 && n < order && !seen[static_cast<std::size_t>(n)],
+               "mode order is not a permutation");
+    seen[static_cast<std::size_t>(n)] = true;
   }
-  throw InternalError("unknown mode order strategy");
+  return mode_order;
 }
 
 }  // namespace ptucker::core

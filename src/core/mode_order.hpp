@@ -1,35 +1,21 @@
 #pragma once
 /// \file mode_order.hpp
-/// \brief Mode-processing-order strategies for ST-HOSVD (paper Sec. VIII-C).
+/// \brief The ST-HOSVD mode processing order (paper Sec. VIII-C).
 ///
 /// The order in which ST-HOSVD processes modes does not change the error
 /// guarantee but strongly affects cost: each truncation shrinks the working
-/// tensor for all later modes. The paper discusses two heuristics: the
-/// ST-HOSVD authors' greedy flop-minimizing order and a greedy
-/// compression-ratio order (maximize In/Rn). Neither is always optimal
-/// (Fig. 8b); bench/fig8b_mode_order sweeps explicit orders.
+/// tensor for all later modes. Neither of the paper's greedy heuristics is
+/// always optimal (Fig. 8b), so callers pass an explicit permutation;
+/// bench/fig8b_mode_order sweeps them.
 
 #include <vector>
 
-#include "tensor/tensor.hpp"
-
 namespace ptucker::core {
 
-enum class ModeOrderStrategy {
-  Natural,      ///< 1, 2, ..., N (paper Alg. 1 as written)
-  Custom,       ///< caller-provided permutation
-  GreedyFlops,  ///< per step, pick the unprocessed mode minimizing the
-                ///< current iteration's Gram+TTM flops
-  GreedyRatio,  ///< per step, pick the unprocessed mode maximizing In/Rn
-                ///< (requires known target ranks; falls back to GreedyFlops)
-};
-
-/// Resolve the processing order for the given strategy.
-/// \p dims are the full tensor dims; \p ranks the target ranks (may be empty
-/// when using an error threshold — ratio-based strategies then fall back).
-/// \p custom is used only for ModeOrderStrategy::Custom.
+/// The processing order for an order-\p order tensor: 0, 1, ..., N-1 when
+/// \p mode_order is empty, else \p mode_order itself. Throws
+/// InvalidArgument unless it is a permutation of all modes.
 [[nodiscard]] std::vector<int> resolve_mode_order(
-    ModeOrderStrategy strategy, const tensor::Dims& dims,
-    const std::vector<std::size_t>& ranks, const std::vector<int>& custom);
+    int order, const std::vector<int>& mode_order);
 
 }  // namespace ptucker::core

@@ -31,8 +31,7 @@ std::vector<int> growth_sorted_modes(std::span<const Matrix> factors) {
 }
 
 DistTensor reconstruct_with_factors(const TuckerTensor& model,
-                                    const std::vector<Matrix>& factors,
-                                    dist::TtmAlgo algo) {
+                                    const std::vector<Matrix>& factors) {
   const int order = model.order();
   const std::vector<int> mode_order =
       growth_sorted_modes(std::span<const Matrix>(factors));
@@ -40,19 +39,18 @@ DistTensor reconstruct_with_factors(const TuckerTensor& model,
   for (int n = 0; n < order; ++n) {
     ptrs[static_cast<std::size_t>(n)] = &factors[static_cast<std::size_t>(n)];
   }
-  return dist::ttm_chain(model.core, ptrs, mode_order, algo);
+  return dist::ttm_chain(model.core, ptrs, mode_order);
 }
 
 }  // namespace
 
-DistTensor reconstruct(const TuckerTensor& model, dist::TtmAlgo algo) {
-  return reconstruct_with_factors(model, model.factors, algo);
+DistTensor reconstruct(const TuckerTensor& model) {
+  return reconstruct_with_factors(model, model.factors);
 }
 
 DistTensor reconstruct_subtensor(
     const TuckerTensor& model,
-    const std::vector<std::vector<std::size_t>>& index_sets,
-    dist::TtmAlgo algo) {
+    const std::vector<std::vector<std::size_t>>& index_sets) {
   PT_REQUIRE(index_sets.size() == static_cast<std::size_t>(model.order()),
              "reconstruct_subtensor: one index set per mode required");
   std::vector<Matrix> sub_factors(index_sets.size());
@@ -65,12 +63,11 @@ DistTensor reconstruct_subtensor(
           index_sets[n].data(), index_sets[n].size()));
     }
   }
-  return reconstruct_with_factors(model, sub_factors, algo);
+  return reconstruct_with_factors(model, sub_factors);
 }
 
 DistTensor reconstruct_range(const TuckerTensor& model,
-                             const std::vector<util::Range>& ranges,
-                             dist::TtmAlgo algo) {
+                             const std::vector<util::Range>& ranges) {
   PT_REQUIRE(ranges.size() == static_cast<std::size_t>(model.order()),
              "reconstruct_range: one range per mode required");
   std::vector<std::vector<std::size_t>> index_sets(ranges.size());
@@ -78,7 +75,7 @@ DistTensor reconstruct_range(const TuckerTensor& model,
     index_sets[n].resize(ranges[n].size());
     std::iota(index_sets[n].begin(), index_sets[n].end(), ranges[n].lo);
   }
-  return reconstruct_subtensor(model, index_sets, algo);
+  return reconstruct_subtensor(model, index_sets);
 }
 
 tensor::Tensor reconstruct_range_local(const tensor::Tensor& core,

@@ -15,8 +15,7 @@ namespace ptucker::core {
 
 /// Full reconstruction (collective): returns an In1 x ... x InN distributed
 /// tensor on the same grid as the core.
-[[nodiscard]] DistTensor reconstruct(const TuckerTensor& model,
-                                     dist::TtmAlgo algo = dist::TtmAlgo::Auto);
+[[nodiscard]] DistTensor reconstruct(const TuckerTensor& model);
 
 /// Partial reconstruction: only the given global indices of each mode are
 /// produced (empty selection = all indices of that mode). The result is a
@@ -24,13 +23,11 @@ namespace ptucker::core {
 /// size, never with prod(In).
 [[nodiscard]] DistTensor reconstruct_subtensor(
     const TuckerTensor& model,
-    const std::vector<std::vector<std::size_t>>& index_sets,
-    dist::TtmAlgo algo = dist::TtmAlgo::Auto);
+    const std::vector<std::vector<std::size_t>>& index_sets);
 
 /// Convenience overload for contiguous ranges.
 [[nodiscard]] DistTensor reconstruct_range(
-    const TuckerTensor& model, const std::vector<util::Range>& ranges,
-    dist::TtmAlgo algo = dist::TtmAlgo::Auto);
+    const TuckerTensor& model, const std::vector<util::Range>& ranges);
 
 /// Sequential partial reconstruction of a box: contract \p core with the
 /// [lo, hi) row blocks of each factor, smallest-growth mode first — the

@@ -5,6 +5,7 @@
 
 #include "blas/blas.hpp"
 #include "core/metrics.hpp"
+#include "core/mode_order.hpp"
 #include "dist/eigenvectors.hpp"
 #include "util/rng.hpp"
 
@@ -235,9 +236,7 @@ SeqResult seq_st_hosvd(const Tensor& x, const SeqOptions& options) {
   const double norm_sq = result.norm_x * result.norm_x;
   const double tail_threshold =
       options.epsilon * options.epsilon * norm_sq / static_cast<double>(order);
-  result.mode_order_used =
-      resolve_mode_order(options.order_strategy, x.dims(), options.fixed_ranks,
-                         options.custom_order);
+  result.mode_order_used = resolve_mode_order(order, options.mode_order);
   result.mode_eigenvalues.resize(static_cast<std::size_t>(order));
   result.mode_methods.assign(static_cast<std::size_t>(order), options.method);
   result.tucker.factors.resize(static_cast<std::size_t>(order));

@@ -13,7 +13,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/mode_order.hpp"
 #include "dist/sketch.hpp"
 #include "lapack/lapack.hpp"
 #include "tensor/local_kernels.hpp"
@@ -55,8 +54,8 @@ struct SeqTucker {
 struct SeqOptions {
   double epsilon = 1e-3;
   std::vector<std::size_t> fixed_ranks;
-  ModeOrderStrategy order_strategy = ModeOrderStrategy::Natural;
-  std::vector<int> custom_order;
+  /// Mode processing order; empty means natural (see SthosvdOptions).
+  std::vector<int> mode_order;
   FactorMethod method = FactorMethod::GramEig;
   /// Knobs for FactorMethod::Randomized; the seed and width conventions are
   /// shared with the distributed route, so at a fixed (seed, mode) both

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/mode_order.hpp"
 #include "costmodel/tucker_model.hpp"
 #include "obs/trace.hpp"
 
@@ -66,9 +67,7 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
   result.mode_eigenvalues.resize(static_cast<std::size_t>(order));
   result.mode_routes.assign(static_cast<std::size_t>(order),
                             FactorRoute::Gram);
-  result.mode_order_used = resolve_mode_order(
-      options.order_strategy, x.global_dims(), options.fixed_ranks,
-      options.custom_order);
+  result.mode_order_used = resolve_mode_order(order, options.mode_order);
 
   // Tail threshold per mode: eps^2 ||X||^2 / N (Alg. 1 line 5).
   const double tail_threshold =
@@ -122,7 +121,7 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
     } else if (route == FactorRoute::Gram) {
       const dist::GramColumns s = [&] {
         obs::Span span("Gram", n);
-        return dist::gram(y, n, options.gram_algo);
+        return dist::gram(y, n);
       }();
       obs::Span span("Evecs", n);
       factor = dist::eigenvectors(s, y.grid(), n, select);
@@ -140,7 +139,7 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
     const Matrix ut = factor.u.transposed();
     {
       obs::Span span("TTM", n);
-      y = dist::ttm(y, ut, n, options.ttm_algo);
+      y = dist::ttm(y, ut, n);
     }
     result.tucker.factors[static_cast<std::size_t>(n)] = std::move(factor.u);
   }

@@ -15,7 +15,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/mode_order.hpp"
 #include "core/tucker_tensor.hpp"
 #include "dist/eigenvectors.hpp"
 #include "dist/gram.hpp"
@@ -83,11 +82,11 @@ struct SthosvdOptions {
   /// Fixed target ranks (one per mode); overrides epsilon when non-empty.
   std::vector<std::size_t> fixed_ranks;
 
-  ModeOrderStrategy order_strategy = ModeOrderStrategy::Natural;
-  std::vector<int> custom_order;  ///< used when order_strategy == Custom
+  /// Mode processing order: a permutation of 0..N-1, or empty for the
+  /// natural order (Alg. 1 as written). Sec. VIII-C: the order does not
+  /// change the error guarantee, only the cost.
+  std::vector<int> mode_order;
 
-  dist::TtmAlgo ttm_algo = dist::TtmAlgo::Auto;
-  dist::GramAlgo gram_algo = dist::GramAlgo::Auto;
   FactorMethod factor_method = FactorMethod::GramEig;
   /// Knobs for FactorMethod::Randomized (seed, oversampling, power
   /// iterations) and the Auto gate for it.

@@ -43,8 +43,8 @@ struct CommVolume {
 /// --- overlap-aware terms ------------------------------------------------------
 /// The nonblocking collectives let a schedule hide transfer time behind
 /// compute (initiate, compute, complete). These terms price that hiding so
-/// GramAlgo::Auto / TtmAlgo::Auto can compare overlapped schedules instead
-/// of assuming every word serializes in front of the flops.
+/// TtmAlgo::Auto can compare overlapped schedules instead of assuming every
+/// word serializes in front of the flops.
 
 /// Chunked ring reduce-scatter (dist/ttm.cpp's pipelined schedule): the
 /// destination blocks travel in `chunks` back-to-back collectives, each a

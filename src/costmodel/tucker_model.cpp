@@ -1,10 +1,9 @@
 #include "costmodel/tucker_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "costmodel/collective_model.hpp"
-#include "dist/gram.hpp"
-#include "mps/cart.hpp"
 #include "util/error.hpp"
 
 namespace ptucker::costmodel {
@@ -59,12 +58,15 @@ KernelCost gram_cost(const Dims& dims, int mode, const std::vector<int>& grid,
   const double phat = p / pn;
   const double jn = static_cast<double>(dims[static_cast<std::size_t>(mode)]);
   KernelCost cost;
-  // Full storage: 2 Jn J/P. The symmetric kernel computes only the lower
-  // triangle of the *diagonal* block (Jn(Jn+1)k locally, i.e. (Jn+1) J/P);
-  // the Pn-1 cross-Gram blocks of the ring are rectangular either way.
-  const double diag_flops = symmetric ? (jn + 1.0) * j / p : 2.0 * jn * j / p;
-  cost.flops = pn <= 1.0 ? diag_flops
-                         : (diag_flops + 2.0 * (pn - 1.0) * jn * j / p) / pn;
+  // Each rank's diagonal block is (Jn/Pn) x (Jn/Pn) over k = Jn_hat/Phat
+  // columns: 2 (Jn/Pn)^2 k = 2 (Jn/Pn) J/P flops in full storage, and
+  // (Jn/Pn)((Jn/Pn)+1) k = (Jn/Pn + 1) J/P for the symmetric kernel, which
+  // computes only its lower triangle. The Pn-1 cross-Gram blocks of the
+  // ring are rectangular either way.
+  const double jn_loc = jn / pn;
+  const double diag_flops =
+      symmetric ? (jn_loc + 1.0) * j / p : 2.0 * jn_loc * j / p;
+  cost.flops = diag_flops + 2.0 * (pn - 1.0) * jn_loc * j / p;
   // Ring shift of the local tensor (Pn-1 exchanges of J/P words) + the
   // all-reduce of the Jn x Jn/Pn block column across the processor row.
   cost.messages = 2.0 * (pn - 1.0) + 2.0 * log2_ceil(static_cast<int>(phat));
@@ -111,17 +113,9 @@ KernelCost tsqr_cost(const Dims& dims, int mode,
   return cost;
 }
 
-/// GramAlgo::Auto's kernel choice, from the shared dist predicate so the
-/// model and the runtime cannot drift apart.
-static bool auto_gram_symmetric(const std::vector<int>& grid, int mode) {
-  return dist::auto_gram_prefers_symmetric(
-      grid[static_cast<std::size_t>(mode)]);
-}
-
 bool prefer_tsqr(const Dims& dims, int mode, const std::vector<int>& grid,
                  const Machine& machine) {
-  KernelCost gram_route =
-      gram_cost(dims, mode, grid, auto_gram_symmetric(grid, mode));
+  KernelCost gram_route = gram_cost(dims, mode, grid, /*symmetric=*/true);
   gram_route += evecs_cost(dims[static_cast<std::size_t>(mode)], mode, grid);
   return machine.seconds(tsqr_cost(dims, mode, grid)) <
          machine.seconds(gram_route);
@@ -174,8 +168,7 @@ bool prefer_sketch(const Dims& dims, int mode, std::size_t width,
   // A sketch as wide as the mode itself has no flop advantage over the
   // exact routes and still pays the sketch error — never pick it.
   if (2 * width >= jn) return false;
-  KernelCost gram_route =
-      gram_cost(dims, mode, grid, auto_gram_symmetric(grid, mode));
+  KernelCost gram_route = gram_cost(dims, mode, grid, /*symmetric=*/true);
   gram_route += evecs_cost(jn, mode, grid);
   const double exact = std::min(machine.seconds(gram_route),
                                 machine.seconds(tsqr_cost(dims, mode, grid)));
@@ -192,10 +185,9 @@ KernelCost sthosvd_cost(const Dims& dims, const Dims& ranks,
   KernelCost total;
   for (int n : order) {
     const std::size_t un = static_cast<std::size_t>(n);
-    // Model the GramAlgo::Auto execution (symmetric kernel on short rings)
-    // so the benches' modeled GFLOPS match the counted flops of a default
-    // run.
-    total += gram_cost(work, n, grid, auto_gram_symmetric(grid, n));
+    // dist::gram runs the symmetric kernel, so the benches' modeled GFLOPS
+    // match the counted flops of a run.
+    total += gram_cost(work, n, grid, /*symmetric=*/true);
     total += evecs_cost(work[un], n, grid);
     total += ttm_cost(work, ranks[un], n, grid);
     work[un] = ranks[un];
@@ -216,7 +208,7 @@ KernelCost hooi_sweep_cost(const Dims& dims, const Dims& ranks,
       total += ttm_cost(work, ranks[um], m, grid);
       work[um] = ranks[um];
     }
-    total += gram_cost(work, n, grid, auto_gram_symmetric(grid, n));
+    total += gram_cost(work, n, grid, /*symmetric=*/true);
     total += evecs_cost(work[static_cast<std::size_t>(n)], n, grid);
     if (n == order - 1) {
       // Final core TTM (Alg. 2 line 9).
@@ -247,30 +239,6 @@ double sthosvd_flops(const Dims& dims, const Dims& ranks,
                      const std::vector<int>& order) {
   const std::vector<int> unit_grid(dims.size(), 1);
   return sthosvd_cost(dims, ranks, unit_grid, order).flops;
-}
-
-std::vector<int> best_grid(const Dims& dims, const Dims& ranks, int p,
-                           const Machine& machine) {
-  PT_REQUIRE(p >= 1, "best_grid: p must be >= 1");
-  std::vector<int> order(dims.size());
-  for (std::size_t n = 0; n < dims.size(); ++n) order[n] = static_cast<int>(n);
-  std::vector<int> best;
-  double best_seconds = 0.0;
-  for (const auto& shape : mps::all_grid_shapes(p, static_cast<int>(dims.size()))) {
-    bool feasible = true;
-    for (std::size_t n = 0; n < dims.size(); ++n) {
-      if (static_cast<std::size_t>(shape[n]) > dims[n]) feasible = false;
-    }
-    if (!feasible) continue;
-    const double seconds =
-        machine.seconds(sthosvd_cost(dims, ranks, shape, order));
-    if (best.empty() || seconds < best_seconds) {
-      best = shape;
-      best_seconds = seconds;
-    }
-  }
-  PT_REQUIRE(!best.empty(), "best_grid: no feasible grid for p = " << p);
-  return best;
 }
 
 }  // namespace ptucker::costmodel

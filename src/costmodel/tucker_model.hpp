@@ -1,7 +1,7 @@
 #pragma once
 /// \file tucker_model.hpp
 /// \brief Analytical cost model for the parallel Tucker kernels and drivers
-/// (paper Sec. V-B/C/D and Sec. VI), used for grid auto-tuning, model
+/// (paper Sec. V-B/C/D and Sec. VI), used for the factor-route choice, model
 /// validation tests, and the peak-fraction reporting of the scaling benches.
 
 #include <vector>
@@ -42,11 +42,11 @@ struct Machine {
                                   const std::vector<int>& grid);
 
 /// Cost of S = Y(n) Y(n)^T (paper C_GRAM). With symmetric = true the local
-/// diagonal-block kernel is the packed symmetry-exploiting syrk — (Jn+1)/2Jn
-/// of the full-storage flops (n(n+1)k vs 2n^2k), identical communication.
-/// Since the blas rework realizes that saving at full microkernel
-/// throughput, GramAlgo::Auto routes short rings through ExploitSymmetry
-/// (dist/gram.cpp); bench/ablate_gram_symmetry has the measurements.
+/// diagonal-block kernel is the packed symmetry-exploiting syrk — n(n+1)k
+/// instead of 2n^2k flops with n = Jn/Pn, identical communication.
+/// dist::gram always runs the symmetric kernel, so sthosvd_cost,
+/// hooi_sweep_cost and the route predicates pass true;
+/// bench/ablate_gram_symmetry has the measurements.
 [[nodiscard]] KernelCost gram_cost(const Dims& dims, int mode,
                                    const std::vector<int>& grid,
                                    bool symmetric = false);
@@ -117,12 +117,5 @@ struct Machine {
 /// GFLOPS figures of the scaling benches.
 [[nodiscard]] double sthosvd_flops(const Dims& dims, const Dims& ranks,
                                    const std::vector<int>& order);
-
-/// Model-driven grid selection: evaluates the ST-HOSVD cost of every P-rank
-/// grid shape (skipping shapes with an extent exceeding its dim) under the
-/// machine parameters and returns the cheapest. This automates the paper's
-/// Sec. VIII-B manual tuning.
-[[nodiscard]] std::vector<int> best_grid(const Dims& dims, const Dims& ranks,
-                                         int p, const Machine& machine = {});
 
 }  // namespace ptucker::costmodel

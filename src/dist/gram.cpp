@@ -33,7 +33,7 @@ tensor::Dims block_dims_at(const DistTensor& x, int mode, int coord) {
 
 }  // namespace
 
-GramColumns gram(const DistTensor& x, int mode, GramAlgo algo) {
+GramColumns gram(const DistTensor& x, int mode) {
   PT_REQUIRE(mode >= 0 && mode < x.order(), "gram: mode out of range");
 
   const std::size_t jn = x.global_dim(mode);
@@ -42,22 +42,10 @@ GramColumns gram(const DistTensor& x, int mode, GramAlgo algo) {
   const int pn = grid.extent(mode);
   const int c = grid.coord(mode);
 
-  if (algo == GramAlgo::Auto) {
-    // See auto_gram_prefers_symmetric (shared with the cost model): the
-    // packed symmetric kernel wins on short rings
-    // (bench/ablate_gram_symmetry).
-    algo = auto_gram_prefers_symmetric(pn) ? GramAlgo::ExploitSymmetry
-                                           : GramAlgo::FullKernel;
-  }
-
   tensor::Matrix cols(jn, my_range.size());
 
   // Diagonal block: my rows x my columns of S, from my own local block.
-  const tensor::Matrix own =
-      algo == GramAlgo::ExploitSymmetry
-          ? tensor::local_gram_sym(x.local(), mode)
-          : tensor::local_gram(x.local(), mode);
-  fill_rows(cols, my_range.lo, own);
+  fill_rows(cols, my_range.lo, tensor::local_gram_sym(x.local(), mode));
 
   if (pn > 1) {
     // Windowed overlap via handles: keep at most kSendWindow eager sends

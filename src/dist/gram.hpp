@@ -9,27 +9,20 @@
 /// computes one cross-Gram per received block, and all-reduces the assembled
 /// block column over the "processor row" to sum over unfolding columns.
 /// The ring is always the overlapped one (Sec. IX overlap item): block k+1
-/// is in flight while the cross-Gram of block k runs. GramAlgo only picks
-/// the diagonal-block kernel; every choice gives bit-identical columns.
+/// is in flight while the cross-Gram of block k runs. The diagonal block
+/// uses the packed symmetric kernel (Sec. V-C's "up to a factor of two"),
+/// which is bit-identical to the full-storage one.
 
 #include "dist/dist_tensor.hpp"
 #include "tensor/local_kernels.hpp"
 
 namespace ptucker::dist {
 
-enum class GramAlgo {
-  Auto,             ///< ExploitSymmetry for short rings, FullKernel else
-  ExploitSymmetry,  ///< packed symmetric kernel for the diagonal block
-  FullKernel,       ///< full-storage kernel for the diagonal block
-};
-
-/// The GramAlgo::Auto kernel policy, shared with the cost model so
-/// costmodel::sthosvd_cost / prefer_tsqr always model what the runtime
-/// executes: short rings are flop-bound and take the packed symmetric
-/// kernel; longer rings are communication-bound and take the full-storage
-/// kernel, whose time hides behind the ring transfers.
-[[nodiscard]] constexpr bool auto_gram_prefers_symmetric(int pn) {
-  return pn <= 2;
+/// Whether gram() runs the packed symmetric diagonal-block kernel on a
+/// ring of \p pn ranks: always. Kept for callers that pass it to
+/// costmodel::gram_cost as the kernel gram() runs.
+[[nodiscard]] constexpr bool auto_gram_prefers_symmetric(int /*pn*/) {
+  return true;
 }
 
 /// A rank's block column of the Gram matrix: cols is Jn x range.size(),
@@ -40,7 +33,6 @@ struct GramColumns {
 };
 
 /// Collective: compute this rank's Gram block column for mode n.
-[[nodiscard]] GramColumns gram(const DistTensor& x, int mode,
-                               GramAlgo algo = GramAlgo::Auto);
+[[nodiscard]] GramColumns gram(const DistTensor& x, int mode);
 
 }  // namespace ptucker::dist

@@ -87,22 +87,42 @@ void pack_destination_blocks(const tensor::Tensor& partial, const DistTensor& z,
   PT_CHECK(offset == packed.size(), "ttm: packing size mismatch");
 }
 
-/// Pick the chunk-group count for the pipelined reduce-scatter schedule from
-/// the overlap-aware cost model: the local multiply and the ring transfer of
-/// each group form a two-stage pipeline whose per-chunk overhead is one ring
-/// round of latency (zero-length chunks still travel as empty messages).
-int reduce_scatter_chunk_count(const DistTensor& x, std::size_t k,
-                               std::size_t out_words, int pn) {
+/// Both schedules of one TTM priced as the overlapped pipelines they are.
+struct SchedulePrice {
+  costmodel::PipelinePlan reduce_scatter;  ///< chunk count and makespan
+  double blocked_s = 0.0;  ///< Blocked makespan (a fixed Pn-chunk pipeline)
+};
+
+/// Price Z = X x_n M (M with \p k rows) on the mode-n ring of Pn ranks.
+/// ReduceScatter hides the ring behind the chunked local multiply; its
+/// chunk count comes from the overlap-aware model, whose per-chunk overhead
+/// is one ring round of latency (zero-length chunks still travel as empty
+/// messages). Blocked hides each binomial reduce behind the next round's
+/// multiply. The paper's K*Pn <= Jn switch falls out of the word terms when
+/// latency is negligible; the model additionally accounts for what overlap
+/// can hide.
+SchedulePrice price_schedules(const DistTensor& x, int mode, std::size_t k) {
   const costmodel::Machine machine;
+  const int pn = x.grid().extent(mode);
+  const std::size_t j_loc = std::max<std::size_t>(
+      1, x.local().dims()[static_cast<std::size_t>(mode)]);
+  const double out_words =
+      static_cast<double>(x.local().size() / j_loc) * static_cast<double>(k);
   const double compute_s = machine.gamma * 2.0 *
                            static_cast<double>(x.local().size()) *
                            static_cast<double>(k);
-  const costmodel::CommVolume ring =
-      costmodel::impl_reduce_scatter(pn, static_cast<double>(out_words));
-  const double comm_s =
-      machine.alpha * ring.messages + machine.beta * ring.words;
-  const double overhead_s = machine.alpha * static_cast<double>(pn - 1);
-  return costmodel::pipeline_chunks(compute_s, comm_s, overhead_s, pn).chunks;
+  const costmodel::CommVolume rs_ring =
+      costmodel::impl_reduce_scatter(pn, out_words);
+  const double rs_comm_s =
+      machine.alpha * rs_ring.messages + machine.beta * rs_ring.words;
+  const costmodel::CommVolume round =
+      costmodel::paper_reduce(pn, out_words / pn);
+  const double bl_comm_s =
+      pn * (machine.alpha * round.messages + machine.beta * round.words);
+  return SchedulePrice{
+      costmodel::pipeline_chunks(compute_s, rs_comm_s,
+                                 machine.alpha * (pn - 1), pn),
+      costmodel::pipeline_makespan(compute_s, bl_comm_s, 0.0, pn)};
 }
 
 /// Reduce-scatter schedule, chunk-pipelined: the destination blocks are
@@ -114,20 +134,11 @@ int reduce_scatter_chunk_count(const DistTensor& x, std::size_t k,
 /// making the chunked result bitwise identical (C = 1 degenerates to the
 /// original single collective).
 void ttm_reduce_scatter(const DistTensor& x, const tensor::Matrix& m_cols,
-                        int mode, DistTensor& z) {
+                        int mode, int chunks, DistTensor& z) {
   const mps::CartGrid& grid = x.grid();
   const mps::Comm& col_comm = grid.mode_comm(mode);
   const int pn = grid.extent(mode);
   const int c = grid.coord(mode);
-
-  const std::size_t out_words =
-      x.local().size() /
-      std::max<std::size_t>(
-          1, x.local().dims()[static_cast<std::size_t>(mode)]) *
-      m_cols.rows();
-  const int chunks = std::min(
-      pn,
-      std::max(1, reduce_scatter_chunk_count(x, m_cols.rows(), out_words, pn)));
 
   tensor::Dims partial_dims = x.local().dims();
   tensor::Tensor partial;
@@ -182,39 +193,14 @@ DistTensor ttm(const DistTensor& x, const tensor::Matrix& m, int mode,
   }
 
   const tensor::Matrix m_cols = my_column_block(m, x.mode_range(mode));
+  const SchedulePrice price = price_schedules(x, mode, k);
   if (algo == TtmAlgo::Auto) {
-    // Price the two schedules as the overlapped pipelines they now are:
-    // ReduceScatter hides the ring behind the chunked local multiply,
-    // Blocked hides each binomial reduce behind the next round's multiply
-    // (a fixed Pn-chunk pipeline). The paper's K*Pn <= Jn switch falls out
-    // of the word terms when latency is negligible; the model additionally
-    // accounts for what overlap can hide.
-    const costmodel::Machine machine;
-    const std::size_t j_loc = std::max<std::size_t>(
-        1, x.local().dims()[static_cast<std::size_t>(mode)]);
-    const double out_words =
-        static_cast<double>(x.local().size() / j_loc) * static_cast<double>(k);
-    const double compute_s = machine.gamma * 2.0 *
-                             static_cast<double>(x.local().size()) *
-                             static_cast<double>(k);
-    const costmodel::CommVolume rs_ring =
-        costmodel::impl_reduce_scatter(pn, out_words);
-    const double rs_comm_s =
-        machine.alpha * rs_ring.messages + machine.beta * rs_ring.words;
-    const double rs_s =
-        costmodel::pipeline_chunks(compute_s, rs_comm_s,
-                                   machine.alpha * (pn - 1), pn)
-            .seconds;
-    const costmodel::CommVolume round =
-        costmodel::paper_reduce(pn, out_words / pn);
-    const double bl_comm_s =
-        pn * (machine.alpha * round.messages + machine.beta * round.words);
-    const double bl_s =
-        costmodel::pipeline_makespan(compute_s, bl_comm_s, 0.0, pn);
-    algo = rs_s <= bl_s ? TtmAlgo::ReduceScatter : TtmAlgo::Blocked;
+    algo = price.reduce_scatter.seconds <= price.blocked_s
+               ? TtmAlgo::ReduceScatter
+               : TtmAlgo::Blocked;
   }
   if (algo == TtmAlgo::ReduceScatter) {
-    ttm_reduce_scatter(x, m_cols, mode, z);
+    ttm_reduce_scatter(x, m_cols, mode, price.reduce_scatter.chunks, z);
   } else {
     ttm_blocked(x, m_cols, mode, z);
   }
@@ -223,7 +209,7 @@ DistTensor ttm(const DistTensor& x, const tensor::Matrix& m, int mode,
 
 DistTensor ttm_chain(const DistTensor& x,
                      const std::vector<const tensor::Matrix*>& ms,
-                     const std::vector<int>& order, TtmAlgo algo) {
+                     const std::vector<int>& order) {
   PT_REQUIRE(ms.size() == static_cast<std::size_t>(x.order()),
              "ttm_chain: need one matrix slot per mode");
   DistTensor result;
@@ -232,7 +218,7 @@ DistTensor ttm_chain(const DistTensor& x,
     PT_REQUIRE(n >= 0 && n < x.order(), "ttm_chain: mode out of range");
     const tensor::Matrix* m = ms[static_cast<std::size_t>(n)];
     PT_REQUIRE(m != nullptr, "ttm_chain: no matrix for mode " << n);
-    result = ttm(first ? x : result, *m, n, algo);
+    result = ttm(first ? x : result, *m, n);
     first = false;
   }
   if (first) return x.clone();

@@ -37,11 +37,10 @@ enum class TtmAlgo {
 [[nodiscard]] DistTensor ttm(const DistTensor& x, const tensor::Matrix& m,
                              int mode, TtmAlgo algo = TtmAlgo::Auto);
 
-/// Collective: apply ttm for each mode listed in \p order, using
-/// ms[mode] (entries for unlisted modes may be null).
+/// Collective: apply ttm (TtmAlgo::Auto) for each mode listed in \p order,
+/// using ms[mode] (entries for unlisted modes may be null).
 [[nodiscard]] DistTensor ttm_chain(const DistTensor& x,
                                    const std::vector<const tensor::Matrix*>& ms,
-                                   const std::vector<int>& order,
-                                   TtmAlgo algo = TtmAlgo::Auto);
+                                   const std::vector<int>& order);
 
 }  // namespace ptucker::dist

@@ -64,19 +64,23 @@ TEST(TuckerModel, TtmFlopsAreExactForMeasuredRun) {
   EXPECT_DOUBLE_EQ(static_cast<double>(measured), model.flops * 4.0);
 }
 
-TEST(TuckerModel, GramFlopsMatchForFullKernel) {
-  const Dims dims{10, 8, 6};
+TEST(TuckerModel, GramFlopsMatchSymmetricKernelOnFourRankRing) {
+  // dist::gram runs the packed symmetric diagonal-block kernel on every
+  // ring, not only on Pn <= 2, and the model prices exactly that kernel.
+  const Dims dims{12, 8, 6};
   const int mode = 0;
-  const auto model = costmodel::gram_cost(dims, mode, {2, 2, 1});
+  const std::vector<int> shape{4, 1, 1};
+  const auto model =
+      costmodel::gram_cost(dims, mode, shape, /*symmetric=*/true);
   std::uint64_t measured = 0;
   run_ranks(4, [&](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, {2, 2, 1});
+    auto grid = dist::make_grid(comm, shape);
     const DistTensor x =
         data::make_low_rank(grid, dims, Dims{4, 4, 4}, 7, 0.0);
     comm.barrier();
     if (comm.rank() == 0) blas::reset_flop_count();
     comm.barrier();
-    (void)dist::gram(x, mode, dist::GramAlgo::FullKernel);
+    (void)dist::gram(x, mode);
     comm.barrier();
     if (comm.rank() == 0) measured = blas::flop_count();
   });
@@ -120,15 +124,15 @@ TEST(TuckerModel, TtmWordVolumeMatchesBlockedImplementation) {
 TEST(TuckerModel, SthosvdCostAccumulatesShrinkingDims) {
   const Dims dims{100, 100, 100};
   const Dims ranks{10, 10, 10};
-  // Uniform extents per mode: sthosvd_cost models GramAlgo::Auto, whose
-  // symmetric-kernel saving applies only to the 1/Pn diagonal block, so
-  // order invariance needs pn equal across modes as well as equal dims.
+  // Uniform extents per mode: sthosvd_cost models the symmetric kernel,
+  // whose saving applies only to the 1/Pn diagonal block, so order
+  // invariance needs pn equal across modes as well as equal dims.
   const std::vector<int> grid{2, 2, 2};
   const std::vector<int> natural{0, 1, 2};
   const auto total = costmodel::sthosvd_cost(dims, ranks, grid, natural);
-  // First-mode Gram dominates. Auto runs the symmetric kernel on the
-  // diagonal block (Pn = 2 ring): ((I1+1) + 2*I1) / 2 * I^3 / P flops.
-  const double first_gram = (3.0 * 100.0 + 1.0) / 2.0 * 1e6 / 8.0;
+  // First-mode Gram dominates. The symmetric kernel runs on the diagonal
+  // block (Pn = 2 ring): (I1/2 + 1 + I1) * I^3 / P flops.
+  const double first_gram = (1.5 * 100.0 + 1.0) * 1e6 / 8.0;
   EXPECT_GT(total.flops, first_gram);
   // Processing order matters: large-dims-last is cheaper than worst order.
   const auto reversed =
@@ -189,32 +193,6 @@ TEST(TuckerModel, MemoryBoundCoversMeasuredFootprint) {
   EXPECT_NEAR(bound, data, 1e-9);
 }
 
-TEST(TuckerModel, BestGridPrefersUnitFirstExtentForCubicalTensors) {
-  // The model must rediscover the paper's Sec. VIII-B manual finding.
-  const Dims dims{384, 384, 384, 384};
-  const Dims ranks{96, 96, 96, 96};
-  const auto shape = costmodel::best_grid(dims, ranks, 16);
-  EXPECT_EQ(shape.size(), 4u);
-  int p = 1;
-  for (int e : shape) p *= e;
-  EXPECT_EQ(p, 16);
-  EXPECT_EQ(shape[0], 1) << "first-mode extent should be 1";
-}
-
-TEST(TuckerModel, BestGridRespectsSmallDims) {
-  const Dims dims{2, 100, 100};
-  const Dims ranks{2, 10, 10};
-  const auto shape = costmodel::best_grid(dims, ranks, 8);
-  EXPECT_LE(shape[0], 2);
-}
-
-TEST(TuckerModel, BestGridTrivialCases) {
-  EXPECT_EQ(costmodel::best_grid(Dims{10, 10}, Dims{2, 2}, 1),
-            (std::vector<int>{1, 1}));
-  EXPECT_THROW((void)costmodel::best_grid(Dims{1, 1}, Dims{1, 1}, 7),
-               InvalidArgument);
-}
-
 TEST(TuckerModel, MachineConvertsCostsToSeconds) {
   costmodel::Machine m;
   m.alpha = 1.0;
@@ -243,9 +221,9 @@ TEST(TuckerModel, TsqrCostEncodesTheRouteTradeoff) {
   // The Auto predicate flips with the unfolding's aspect ratio: tiny
   // latency-bound problems stay on Gram, tall-skinny bandwidth-bound ones
   // switch to TSQR, fat unfoldings pay the Jn^3 tree and stay on Gram.
-  // Note the Gram route is modeled with the packed symmetric kernel where
-  // GramAlgo::Auto runs it, so borderline tall cases (e.g. Jn = 16 here)
-  // now stay on Gram — TSQR's QR flops are not halved by symmetry. The
+  // Note the Gram route is modeled with the packed symmetric kernel that
+  // dist::gram runs, so borderline tall cases (e.g. Jn = 16 here)
+  // stay on Gram — TSQR's QR flops are not halved by symmetry. The
   // decisively skinny unfolding still switches.
   EXPECT_FALSE(costmodel::prefer_tsqr(Dims{16, 8, 8}, 0, grid));
   EXPECT_TRUE(costmodel::prefer_tsqr(Dims{4, 512, 512}, 0, grid));

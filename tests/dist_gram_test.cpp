@@ -13,7 +13,6 @@ namespace ptucker {
 namespace {
 
 using dist::DistTensor;
-using dist::GramAlgo;
 using tensor::Dims;
 using tensor::Matrix;
 using tensor::Tensor;
@@ -85,24 +84,6 @@ TEST_P(DistGram, BlockColumnsMatchSequentialGram) {
             << "entry (" << i << ", " << s.range.lo + j << ")";
       }
     }
-  });
-}
-
-TEST_P(DistGram, ExploitSymmetryBitIdenticalToFullKernel) {
-  // The two GramAlgo choices differ only in the diagonal-block kernel
-  // (packed symmetric vs full storage); the lower-triangle kernel keeps the
-  // full kernel's per-element accumulation order and the mirror copies it,
-  // so the assembled block columns agree bit for bit on every grid.
-  const auto& [shape, mode] = GetParam();
-  const Dims dims{5, 6, 4};
-  run_ranks(grid_size(shape), [&](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, shape);
-    DistTensor x(grid, dims);
-    fill_test_tensor(x, 13);
-    const dist::GramColumns full = dist::gram(x, mode, GramAlgo::FullKernel);
-    const dist::GramColumns sym =
-        dist::gram(x, mode, GramAlgo::ExploitSymmetry);
-    EXPECT_EQ(testing::max_diff(full.cols, sym.cols), 0.0);
   });
 }
 

@@ -35,10 +35,9 @@ TEST(Failure, NonPermutationModeOrderRejected) {
     const DistTensor x =
         data::make_low_rank(grid, Dims{4, 4, 4}, Dims{2, 2, 2}, 1, 0.0);
     core::SthosvdOptions opts;
-    opts.order_strategy = core::ModeOrderStrategy::Custom;
-    opts.custom_order = {0, 0, 2};  // repeats a mode
+    opts.mode_order = {0, 0, 2};  // repeats a mode
     EXPECT_THROW((void)core::st_hosvd(x, opts), InvalidArgument);
-    opts.custom_order = {0, 1};  // wrong length
+    opts.mode_order = {0, 1};  // wrong length
     EXPECT_THROW((void)core::st_hosvd(x, opts), InvalidArgument);
   });
 }

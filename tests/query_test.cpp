@@ -279,22 +279,5 @@ TEST(TimeRangeQuery, UncommittedTailEntriesAreInvisible) {
   std::filesystem::remove(path);
 }
 
-TEST(GramKernel, SthosvdWithFullKernelMatchesDefault) {
-  run_ranks(4, [](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, {2, 2, 1});
-    const DistTensor x =
-        data::make_low_rank(grid, Dims{8, 7, 6}, Dims{3, 3, 3}, 15, 0.1);
-    core::SthosvdOptions a;
-    a.epsilon = 0.2;
-    core::SthosvdOptions b = a;
-    b.gram_algo = dist::GramAlgo::FullKernel;
-    const auto ra = core::st_hosvd(x, a);
-    const auto rb = core::st_hosvd(x, b);
-    EXPECT_EQ(ra.tucker.core_dims(), rb.tucker.core_dims());
-    EXPECT_NEAR(ra.tucker.core.norm_squared(), rb.tucker.core.norm_squared(),
-                1e-9 * (1.0 + ra.tucker.core.norm_squared()));
-  });
-}
-
 }  // namespace
 }  // namespace ptucker

@@ -73,33 +73,5 @@ TEST(SeqHooi, CompressionRatioReported) {
   EXPECT_NEAR(result.tucker.compression_ratio(), 1000.0 / 68.0, 1e-9);
 }
 
-TEST(SeqSthosvd, GreedyOrderStrategiesAreValidPermutations) {
-  const Tensor x =
-      data::make_low_rank_seq(Dims{4, 12, 8}, Dims{2, 5, 3}, 13, 0.05);
-  for (auto strategy : {core::ModeOrderStrategy::GreedyFlops,
-                        core::ModeOrderStrategy::GreedyRatio}) {
-    SeqOptions opts;
-    opts.epsilon = 1e-3;
-    opts.order_strategy = strategy;
-    const auto result = core::seq::seq_st_hosvd(x, opts);
-    std::vector<bool> seen(3, false);
-    for (int n : result.mode_order_used) {
-      seen[static_cast<std::size_t>(n)] = true;
-    }
-    EXPECT_TRUE(seen[0] && seen[1] && seen[2]);
-  }
-}
-
-TEST(SeqSthosvd, GreedyFlopsStartsWithSmallestDim) {
-  // With unknown ranks the greedy-flops heuristic minimizes the current
-  // Gram cost, i.e. picks the smallest current dimension first.
-  const Tensor x = data::make_low_rank_seq(Dims{4, 12, 8}, Dims{2, 2, 2}, 15);
-  SeqOptions opts;
-  opts.epsilon = 1e-3;
-  opts.order_strategy = core::ModeOrderStrategy::GreedyFlops;
-  const auto result = core::seq::seq_st_hosvd(x, opts);
-  EXPECT_EQ(result.mode_order_used.front(), 0);
-}
-
 }  // namespace
 }  // namespace ptucker

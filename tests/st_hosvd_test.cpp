@@ -171,15 +171,16 @@ TEST(Sthosvd, CoreNormPlusErrorAccountsForFullNorm) {
 TEST(Sthosvd, ModeOrderDoesNotChangeErrorGuarantee) {
   const Dims dims{8, 6, 7};
   const double eps = 0.3;
-  for (const auto strategy :
-       {core::ModeOrderStrategy::Natural, core::ModeOrderStrategy::GreedyFlops}) {
+  for (const std::vector<int>& order :
+       {std::vector<int>{}, std::vector<int>{2, 0, 1},
+        std::vector<int>{1, 2, 0}, std::vector<int>{2, 1, 0}}) {
     run_ranks(4, [&](mps::Comm& comm) {
       auto grid = dist::make_grid(comm, {2, 2, 1});
       const DistTensor x =
           data::make_low_rank(grid, dims, Dims{3, 2, 3}, 21, 0.1);
       SthosvdOptions opts;
       opts.epsilon = eps;
-      opts.order_strategy = strategy;
+      opts.mode_order = order;
       const auto result = core::st_hosvd(x, opts);
       const DistTensor xt = core::reconstruct(result.tucker);
       EXPECT_LE(core::normalized_error(x, xt), eps * 1.0000001);
@@ -193,8 +194,7 @@ TEST(Sthosvd, CustomModeOrderIsUsed) {
     const DistTensor x =
         data::make_low_rank(grid, Dims{6, 6, 6}, Dims{2, 2, 2}, 1, 0.05);
     SthosvdOptions opts;
-    opts.order_strategy = core::ModeOrderStrategy::Custom;
-    opts.custom_order = {2, 0, 1};
+    opts.mode_order = {2, 0, 1};
     const auto result = core::st_hosvd(x, opts);
     EXPECT_EQ(result.mode_order_used, (std::vector<int>{2, 0, 1}));
   });
