@@ -47,12 +47,12 @@ void verify_crc32c(const char* container, const File& file,
                    const std::string& what, std::uint64_t offset,
                    std::uint64_t stored, std::uint32_t computed) {
   crc_counters().checked.inc();
-  if ((stored & 0xFFFFFFFFull) == computed) return;
+  if (stored == computed) return;
   crc_counters().failures.inc();
   std::ostringstream os;
   os << container << ": checksum mismatch in " << what << " of " << file.path()
      << " at offset " << offset << " (stored crc32c 0x" << std::hex
-     << (stored & 0xFFFFFFFFull) << ", computed 0x" << computed << std::dec
+     << stored << ", computed 0x" << computed << std::dec
      << ") — silent corruption or a torn write";
   throw ChecksumError(os.str());
 }

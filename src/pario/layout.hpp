@@ -67,9 +67,10 @@ namespace ptucker::pario::detail {
 void write_block(const std::string& path, std::uint64_t crc_slot,
                  std::uint64_t offset, const tensor::Tensor& block);
 
-/// Compare \p computed against the stored low-32 bits of \p stored (the
-/// header field is a u64 slot for alignment); throws ChecksumError naming
-/// the container, region, file, and payload byte offset on mismatch.
+/// Compare \p computed against the whole u64 slot \p stored (writers store
+/// the CRC zero-extended, so a set high bit is corruption too); throws
+/// ChecksumError naming the container, region, file, and payload byte
+/// offset on mismatch.
 /// Counts pario.crc_checked / pario.crc_failures.
 void verify_crc32c(const char* container, const File& file,
                    const std::string& what, std::uint64_t offset,

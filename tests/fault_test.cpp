@@ -247,6 +247,23 @@ TEST(Corruption, Ptb1BlockBitRotIsNamedInChecksumError) {
   std::filesystem::remove(path);
 }
 
+TEST(Corruption, Ptb1CrcWordHighHalfFlipIsChecksumError) {
+  // Writers store each CRC zero-extended into a u64 slot, so a bit set in
+  // the high half is corruption even though the low 32 bits still match.
+  const std::string path = temp_path("ptucker_rot_crc_word.ptb");
+  const Dims dims{8, 6, 5};
+  build_ptb1(path, dims, 43);
+  // block_crc[0] follows magic, version, order, 3 dims, 3 grid extents and
+  // 2 block offsets; its high half is bytes 4..7 of the little-endian word.
+  const std::uint64_t crc0 = 4 + 8 * (1 + 1 + 3 + 3 + 2);
+  flip_byte(path, crc0 + 4);
+  run_ranks(1, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {1, 1, 1});
+    EXPECT_THROW((void)pario::read_dist_tensor(grid, path), ChecksumError);
+  });
+  std::filesystem::remove(path);
+}
+
 TEST(Corruption, Ptz1FactorBitRotIsNamedInChecksumError) {
   const std::string path = temp_path("ptucker_rot_factor.ptz");
   const Dims core_dims{3, 3, 3};

@@ -157,6 +157,32 @@ TEST(Crc32c, ChainingAtEverySplitMatchesOneShot) {
   }
 }
 
+TEST(Crc32c, HardwareMatchesPortableAtEveryLengthAndAlignment) {
+  if (!util::detail::crc32c_has_sse42()) {
+    GTEST_SKIP() << "this CPU has no SSE4.2";
+  }
+#if defined(__x86_64__)
+  // 1 MiB plus 8 bytes of slack so every offset 0..7 has a full buffer.
+  std::vector<unsigned char> buf((1u << 20) + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(util::splitmix64(i));
+  }
+  for (const std::uint32_t seed : {0u, 0xFFFFFFFFu, 0x12345678u}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const unsigned char* p = buf.data() + offset;
+      for (std::size_t len = 0; len <= 4096; ++len) {
+        ASSERT_EQ(util::detail::crc32c_sse42(seed, p, len),
+                  util::detail::crc32c_portable(seed, p, len))
+            << "seed " << seed << " offset " << offset << " length " << len;
+      }
+      ASSERT_EQ(util::detail::crc32c_sse42(seed, p, 1u << 20),
+                util::detail::crc32c_portable(seed, p, 1u << 20))
+          << "seed " << seed << " offset " << offset << " length 1 MiB";
+    }
+  }
+#endif
+}
+
 TEST(ErrorMacros, RequireThrowsInvalidArgument) {
   EXPECT_THROW(PT_REQUIRE(false, "bad input " << 42), InvalidArgument);
   EXPECT_NO_THROW(PT_REQUIRE(true, "fine"));
