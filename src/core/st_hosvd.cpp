@@ -75,7 +75,12 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
       static_cast<double>(order);
 
   result.tucker.factors.resize(static_cast<std::size_t>(order));
-  DistTensor y = x.clone();
+  // X is read in place: the first processed mode factors and truncates X
+  // itself, and every later mode reads the previous TTM output. Assigning
+  // the next TTM output to y frees the one before it, so X plus one working
+  // tensor is the whole resident set (eq. 2).
+  DistTensor y;
+  const DistTensor* cur = &x;
   double tail_total = 0.0;
 
   for (int n : result.mode_order_used) {
@@ -92,14 +97,14 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
             ? dist::RankSelection::threshold(tail_threshold)
             : dist::RankSelection::fixed_rank(fixed_rank);
     FactorRoute route =
-        resolve_factor_route(options.factor_method, y, n, options.sketch,
+        resolve_factor_route(options.factor_method, *cur, n, options.sketch,
                              options.epsilon, fixed_rank);
 
     dist::FactorResult factor;
     if (route == FactorRoute::Randomized) {
       dist::SketchFactorResult sk = [&] {
         obs::Span span("Sketch", n);
-        return dist::factor_via_sketch(y, n, select, options.sketch);
+        return dist::factor_via_sketch(*cur, n, select, options.sketch);
       }();
       result.sketches.push_back({n, sk.seed, sk.width, sk.power_iterations,
                                  !sk.certified});
@@ -117,14 +122,14 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
     }
     if (route == FactorRoute::Tsqr) {
       obs::Span span("TSQR", n);
-      factor = dist::factor_via_tsqr(y, n, select);
+      factor = dist::factor_via_tsqr(*cur, n, select);
     } else if (route == FactorRoute::Gram) {
       const dist::GramColumns s = [&] {
         obs::Span span("Gram", n);
-        return dist::gram(y, n);
+        return dist::gram(*cur, n);
       }();
       obs::Span span("Evecs", n);
-      factor = dist::eigenvectors(s, y.grid(), n, select);
+      factor = dist::eigenvectors(s, cur->grid(), n, select);
     }
     result.mode_routes[static_cast<std::size_t>(n)] = route;
 
@@ -139,12 +144,14 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
     const Matrix ut = factor.u.transposed();
     {
       obs::Span span("TTM", n);
-      y = dist::ttm(y, ut, n);
+      y = dist::ttm(*cur, ut, n);
+      cur = &y;
     }
     result.tucker.factors[static_cast<std::size_t>(n)] = std::move(factor.u);
   }
 
-  result.tucker.core = std::move(y);
+  // cur still points at x only when no mode ran (an order-0 tensor).
+  result.tucker.core = cur == &x ? x.clone() : std::move(y);
   result.error_bound =
       result.norm_x > 0.0 ? std::sqrt(tail_total) / result.norm_x : 0.0;
   return result;

@@ -11,6 +11,13 @@
 /// eps^2 ||X||^2 / N tail criterion (or use a fixed rank), and truncate the
 /// working tensor with a TTM by the transposed factor. After all modes, the
 /// working tensor is the core. Satisfies ‖X − X̃‖ <= eps ‖X‖ (paper eq. 3).
+///
+/// X is read in place, never copied: the first processed mode factors and
+/// truncates X itself, and each later mode reads the previous TTM output,
+/// freed as soon as the next one exists. So the resident set is X plus one
+/// TTM output (and, while a TTM runs, its smaller output), the factors and
+/// one Gram matrix: with truncating ranks, the per-rank bound of the
+/// paper's eq. 2 (costmodel::memory_bound_per_rank).
 
 #include <string>
 #include <string_view>

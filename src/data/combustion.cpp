@@ -207,8 +207,11 @@ void fill_block(Tensor& local, const std::vector<util::Range>& ranges,
 DistTensor make_combustion(std::shared_ptr<mps::CartGrid> grid,
                            const CombustionSpec& spec) {
   PT_REQUIRE(spec.components > 0, "combustion: components must be > 0");
-  const ProfileTables profiles = build_profiles(spec);
+  // The block first, the small profile tables after: allocated the other
+  // way round, the tables can take the head of a freed block-sized hole and
+  // push the block to fresh pages past it.
   DistTensor x(grid, spec.dims);
+  const ProfileTables profiles = build_profiles(spec);
   std::vector<util::Range> ranges(spec.dims.size());
   for (std::size_t n = 0; n < spec.dims.size(); ++n) {
     ranges[n] = x.mode_range(static_cast<int>(n));

@@ -56,33 +56,39 @@ void ttm_blocked(const DistTensor& x, const tensor::Matrix& m_cols, int mode,
 
 /// Append the packed per-destination chunks of \p partial for destination
 /// coordinates [lo, hi) to \p packed and record their sizes in \p counts
-/// (counts is full Pn-length; entries outside [lo, hi) stay zero).
+/// (counts is full Pn-length; entries outside [lo, hi) stay zero). Each
+/// chunk is the mode-\p mode row range of one destination, in the layout
+/// partial.subtensor() would give it, copied straight from \p partial: in
+/// first-index-fastest order a row range is one contiguous run per index of
+/// the modes after \p mode.
 void pack_destination_blocks(const tensor::Tensor& partial, const DistTensor& z,
                              int mode, int lo, int hi,
                              std::vector<double>& packed,
                              std::vector<std::size_t>& counts) {
-  std::vector<util::Range> ranges(partial.dims().size());
-  for (std::size_t n = 0; n < partial.dims().size(); ++n) {
-    ranges[n] = util::Range{0, partial.dims()[n]};
-  }
-  const util::Range group{z.mode_range_of(mode, lo).lo,
-                          z.mode_range_of(mode, hi - 1).hi};
+  const tensor::Dims& dims = partial.dims();
+  const auto m = static_cast<std::size_t>(mode);
+  std::size_t inner = 1;
+  for (std::size_t n = 0; n < m; ++n) inner *= dims[n];
+  std::size_t outer = 1;
+  for (std::size_t n = m + 1; n < dims.size(); ++n) outer *= dims[n];
+  const std::size_t rows = dims[m];
+  const std::size_t group_lo = z.mode_range_of(mode, lo).lo;
   packed.clear();
   packed.resize(partial.size());
   std::size_t offset = 0;
   for (int l = lo; l < hi; ++l) {
-    ranges[static_cast<std::size_t>(mode)] = util::Range{
-        z.mode_range_of(mode, l).lo - group.lo,
-        z.mode_range_of(mode, l).hi - group.lo};
-    const tensor::Tensor block = partial.subtensor(ranges);
-    counts[static_cast<std::size_t>(l)] = block.size();
-    // An empty block (or an empty packed buffer) may hold a null pointer,
-    // which std::memcpy rejects even for zero bytes.
-    if (block.size() != 0) {
-      std::memcpy(packed.data() + offset, block.data(),
-                  block.size() * sizeof(double));
+    const util::Range r = z.mode_range_of(mode, l);
+    const std::size_t run = inner * r.size();
+    counts[static_cast<std::size_t>(l)] = run * outer;
+    // An empty run may come with a null pointer, which std::memcpy rejects
+    // even for zero bytes.
+    if (run == 0) continue;
+    for (std::size_t o = 0; o < outer; ++o) {
+      std::memcpy(packed.data() + offset,
+                  partial.data() + inner * (r.lo - group_lo + rows * o),
+                  run * sizeof(double));
+      offset += run;
     }
-    offset += block.size();
   }
   PT_CHECK(offset == packed.size(), "ttm: packing size mismatch");
 }

@@ -11,9 +11,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
+#include <vector>
 
 #include "mps/message.hpp"
 
@@ -23,7 +23,9 @@ class Universe;
 
 class Mailbox {
  public:
-  explicit Mailbox(Universe* universe) : universe_(universe) {}
+  explicit Mailbox(Universe* universe) : universe_(universe) {
+    queue_.reserve(kReserved);
+  }
 
   /// Deliver a message (called by senders). Never blocks.
   void push(Message&& msg);
@@ -48,10 +50,17 @@ class Mailbox {
   void interrupt();
 
  private:
+  // Reserved once, by the thread that builds the Universe, so a push
+  // allocates nothing: queue storage allocated by a pushing rank thread
+  // would outlive the parallel region inside that thread's heap. Queues
+  // hold a few messages per peer (2 at most in the benchmark workloads);
+  // a longer one grows the vector, which keeps that capacity.
+  static constexpr std::size_t kReserved = 64;
+
   Universe* universe_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<Message> queue_;
+  std::vector<Message> queue_;
 };
 
 }  // namespace ptucker::mps

@@ -109,6 +109,7 @@ void Universe::reset_stats() {
 }
 
 void Universe::fingerprint_seed(int world_rank, std::uint64_t context) {
+  if (!verify_schedule_enabled()) return;
   schedules_[static_cast<std::size_t>(world_rank)].contexts[context];
 }
 

@@ -75,7 +75,9 @@ class Universe {
   }
   /// Called by each rank when it constructs a Comm for \p context, so a
   /// member that then never calls a collective still shows up (calls == 0)
-  /// and is distinguishable from "never had this communicator".
+  /// and is distinguishable from "never had this communicator". A no-op
+  /// unless verification is on: the entry is a map node the rank's thread
+  /// allocates and the next run() frees from another thread.
   void fingerprint_seed(int world_rank, std::uint64_t context);
   /// Mix one collective call into \p world_rank's fingerprint for \p context.
   void fingerprint_record(int world_rank, std::uint64_t context, OpKind kind,

@@ -67,6 +67,12 @@ tensor::Tensor BlockFile::read_ranges(
                                      crcs_);
 }
 
+void BlockFile::read_ranges_into(const std::vector<util::Range>& ranges,
+                                 std::span<double> out) const {
+  detail::read_blocked_ranges_into(file_, dims_, grid_, offsets_, ranges,
+                                   crcs_, out);
+}
+
 std::uint64_t ptb1_file_bytes(const tensor::Dims& dims,
                               const std::vector<int>& grid) {
   const auto offsets = detail::block_offsets(dims, grid, 0);
@@ -117,13 +123,11 @@ dist::DistTensor read_dist_tensor(std::shared_ptr<mps::CartGrid> grid,
                                              << " != grid order "
                                              << grid->order());
   dist::DistTensor x(grid, file.dims());
-  if (x.local().size() > 0) {
-    std::vector<util::Range> mine(file.dims().size());
-    for (int n = 0; n < x.order(); ++n) {
-      mine[static_cast<std::size_t>(n)] = x.mode_range(n);
-    }
-    x.local() = file.read_ranges(mine);
+  std::vector<util::Range> mine(file.dims().size());
+  for (int n = 0; n < x.order(); ++n) {
+    mine[static_cast<std::size_t>(n)] = x.mode_range(n);
   }
+  file.read_ranges_into(mine, x.local().span());
   return x;
 }
 

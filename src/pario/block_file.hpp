@@ -29,6 +29,7 @@
 /// tools and the timestep reader ingest legacy files block-parallel.
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "dist/dist_tensor.hpp"
@@ -53,6 +54,12 @@ class BlockFile {
   [[nodiscard]] tensor::Tensor read_ranges(
       const std::vector<util::Range>& ranges) const;
 
+  /// Read an arbitrary hyper-rectangle straight into \p out, a dense
+  /// first-index-fastest array of exactly the product of the range sizes
+  /// (InvalidArgument otherwise; preads only, no intermediate buffer).
+  void read_ranges_into(const std::vector<util::Range>& ranges,
+                        std::span<double> out) const;
+
  private:
   BlockFile() = default;
   File file_;
@@ -68,9 +75,10 @@ class BlockFile {
 void write_dist_tensor(const std::string& path, const dist::DistTensor& x);
 
 /// Collective: build a DistTensor on \p grid from a PTB1/PTT1 file. Every
-/// rank preads exactly its own block — one contiguous read when the file
-/// was written on the same grid, otherwise the runs intersecting the
-/// writer's blocks (redistribution). Zero messages, no barriers.
+/// rank preads exactly its own block, straight into its local tensor — one
+/// contiguous read when the file was written on the same grid, otherwise
+/// the runs intersecting the writer's blocks (redistribution). Zero
+/// messages, no barriers.
 [[nodiscard]] dist::DistTensor read_dist_tensor(
     std::shared_ptr<mps::CartGrid> grid, const std::string& path);
 

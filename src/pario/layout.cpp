@@ -41,6 +41,22 @@ CrcCounters& crc_counters() {
   return *c;
 }
 
+/// Per-mode sizes of the request \p ranges of a tensor with \p dims; throws
+/// InvalidArgument unless there is one in-bounds range (lo <= hi <= dims[n])
+/// per mode.
+tensor::Dims request_dims(const tensor::Dims& dims,
+                          const std::vector<util::Range>& ranges) {
+  PT_REQUIRE(ranges.size() == dims.size(),
+             "read_blocked_ranges: one range per mode");
+  tensor::Dims sizes(dims.size());
+  for (std::size_t n = 0; n < dims.size(); ++n) {
+    PT_REQUIRE(ranges[n].lo <= ranges[n].hi && ranges[n].hi <= dims[n],
+               "read_blocked_ranges: range out of bounds in mode " << n);
+    sizes[n] = ranges[n].size();
+  }
+  return sizes;
+}
+
 }  // namespace
 
 void verify_crc32c(const char* container, const File& file,
@@ -103,21 +119,20 @@ std::vector<std::uint64_t> block_offsets(const tensor::Dims& dims,
   return offsets;
 }
 
-tensor::Tensor read_blocked_ranges(const File& file, const tensor::Dims& dims,
-                                   const std::vector<int>& grid,
-                                   const std::vector<std::uint64_t>& offsets,
-                                   const std::vector<util::Range>& ranges,
-                                   const std::vector<std::uint64_t>& block_crcs) {
+void read_blocked_ranges_into(const File& file, const tensor::Dims& dims,
+                              const std::vector<int>& grid,
+                              const std::vector<std::uint64_t>& offsets,
+                              const std::vector<util::Range>& ranges,
+                              const std::vector<std::uint64_t>& block_crcs,
+                              std::span<double> out) {
   const std::size_t order = dims.size();
-  PT_REQUIRE(ranges.size() == order, "read_blocked_ranges: one range per mode");
-  tensor::Dims out_dims(order);
-  for (std::size_t n = 0; n < order; ++n) {
-    PT_REQUIRE(ranges[n].lo <= ranges[n].hi && ranges[n].hi <= dims[n],
-               "read_blocked_ranges: range out of bounds in mode " << n);
-    out_dims[n] = ranges[n].size();
-  }
-  tensor::Tensor out(out_dims);
-  if (out.size() == 0) return out;
+  const tensor::Dims out_dims = request_dims(dims, ranges);
+  std::size_t out_size = 1;
+  for (std::size_t d : out_dims) out_size *= d;
+  PT_REQUIRE(out.size() == out_size,
+             "read_blocked_ranges: destination holds "
+                 << out.size() << " elements, the request " << out_size);
+  if (out_size == 0) return;
 
   const int p = grid_size(grid);
   for (int b = 0; b < p; ++b) {
@@ -145,16 +160,16 @@ tensor::Tensor read_blocked_ranges(const File& file, const tensor::Dims& dims,
         covered && static_cast<std::size_t>(b) < block_crcs.size();
     const std::uint64_t block_base = offsets[static_cast<std::size_t>(b)];
     if (whole) {  // grid-matched fast path: the block IS the request
-      file.read_at(block_base, out.data(), out.size() * sizeof(double));
+      file.read_at(block_base, out.data(), out_size * sizeof(double));
       if (verify) {
         verify_crc32c("pario", file, "block " + std::to_string(b), block_base,
                       block_crcs[static_cast<std::size_t>(b)],
-                      util::crc32c(0, out.data(), out.size() * sizeof(double)));
+                      util::crc32c(0, out.data(), out_size * sizeof(double)));
       }
-      return out;
+      return;
     }
 
-    // Strides of the block's dense layout and of the output tensor.
+    // Strides of the block's dense layout and of the destination.
     std::vector<std::uint64_t> bstride(order), ostride(order);
     std::uint64_t bs = 1;
     std::uint64_t os = 1;
@@ -197,6 +212,16 @@ tensor::Tensor read_blocked_ranges(const File& file, const tensor::Dims& dims,
                     block_crcs[static_cast<std::size_t>(b)], crc);
     }
   }
+}
+
+tensor::Tensor read_blocked_ranges(const File& file, const tensor::Dims& dims,
+                                   const std::vector<int>& grid,
+                                   const std::vector<std::uint64_t>& offsets,
+                                   const std::vector<util::Range>& ranges,
+                                   const std::vector<std::uint64_t>& block_crcs) {
+  tensor::Tensor out(request_dims(dims, ranges));
+  read_blocked_ranges_into(file, dims, grid, offsets, ranges, block_crcs,
+                           out.span());
   return out;
 }
 

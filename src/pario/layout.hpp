@@ -14,6 +14,7 @@
 /// truncation is detectable without trusting arithmetic on corrupt fields.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,9 +41,16 @@ namespace ptucker::pario::detail {
     std::uint64_t base);
 
 /// Read the hyper-rectangle \p ranges of the global tensor out of a blocked
-/// layout via positioned reads only: for every block intersecting the
-/// request, the mode-0 runs of the intersection are pread directly into the
-/// result tensor. A request matching one block exactly is a single pread.
+/// layout via positioned reads only, straight into the caller's buffer
+/// \p out, a dense first-index-fastest array whose dims are the range
+/// sizes: for every block intersecting the request, the mode-0 runs of the
+/// intersection are pread directly into their destination. A request
+/// matching one block exactly is a single pread. \p out must hold exactly
+/// the request's element count (InvalidArgument otherwise, before any byte
+/// is read). This is the one read core of every blocked container: the
+/// PTB1 and PTZ1 readers and the timestep reader pass the block (or time
+/// slab) they are about to fill, so a read allocates its destination once
+/// and never copies it.
 ///
 /// \p block_crcs (one stored CRC32C per block, from a version-2 header)
 /// arms verification: any block *fully covered* by the request has its
@@ -53,6 +61,15 @@ namespace ptucker::pario::detail {
 /// way and are passed through unchecked — grid-matched reads (the serve
 /// path, local reconstruction) always cover whole blocks and are always
 /// verified. Empty = version-1 file, no verification.
+void read_blocked_ranges_into(const File& file, const tensor::Dims& dims,
+                              const std::vector<int>& grid,
+                              const std::vector<std::uint64_t>& offsets,
+                              const std::vector<util::Range>& ranges,
+                              const std::vector<std::uint64_t>& block_crcs,
+                              std::span<double> out);
+
+/// read_blocked_ranges_into, but into a freshly allocated tensor of the
+/// request's dims, for callers with no destination of their own.
 [[nodiscard]] tensor::Tensor read_blocked_ranges(
     const File& file, const tensor::Dims& dims, const std::vector<int>& grid,
     const std::vector<std::uint64_t>& offsets,

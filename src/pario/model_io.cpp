@@ -268,17 +268,16 @@ ModelData read_model_at(const File& file, std::uint64_t base,
   model.has_stats = parsed.has_stats;
   model.stats = std::move(parsed.stats);
 
-  // Core: every rank preads its own block out of the writer's layout.
+  // Core: every rank preads its own block out of the writer's layout,
+  // straight into its local tensor.
   model.core = dist::DistTensor(std::move(grid), parsed.core_dims);
-  if (model.core.local().size() > 0) {
-    std::vector<util::Range> mine(parsed.core_dims.size());
-    for (int n = 0; n < model.core.order(); ++n) {
-      mine[static_cast<std::size_t>(n)] = model.core.mode_range(n);
-    }
-    model.core.local() = detail::read_blocked_ranges(
-        file, parsed.core_dims, parsed.file_grid, parsed.core_offsets, mine,
-        parsed.core_crcs);
+  std::vector<util::Range> mine(parsed.core_dims.size());
+  for (int n = 0; n < model.core.order(); ++n) {
+    mine[static_cast<std::size_t>(n)] = model.core.mode_range(n);
   }
+  detail::read_blocked_ranges_into(file, parsed.core_dims, parsed.file_grid,
+                                   parsed.core_offsets, mine,
+                                   parsed.core_crcs, model.core.local().span());
   return model;
 }
 

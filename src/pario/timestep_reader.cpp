@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 
 #include "pario/block_file.hpp"
@@ -151,13 +150,11 @@ dist::DistTensor TimestepReader::read_window(
   if (slab == 0) return x;
 
   // Time is the last (slowest) mode, so each local time slice is one
-  // contiguous slab of the local block: stream step files straight in.
+  // contiguous slab of the local block: pread each step straight into it.
   const util::Range my_time = x.mode_range(time_mode);
   for (std::size_t ti = my_time.lo; ti < my_time.hi; ++ti) {
-    const tensor::Tensor slice = read_step(first + ti, spatial);
-    PT_CHECK(slice.size() == slab, "read_window: slab size mismatch");
-    std::memcpy(x.local().data() + (ti - my_time.lo) * slab, slice.data(),
-                slab * sizeof(double));
+    step_file(first + ti)->read_ranges_into(
+        spatial, x.local().span().subspan((ti - my_time.lo) * slab, slab));
   }
   return x;
 }

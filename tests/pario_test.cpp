@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "core/st_hosvd.hpp"
 #include "core/tucker_io.hpp"
@@ -210,6 +211,41 @@ TEST(ParIo, RejectsTruncatedAndCorruptFiles) {
 
   EXPECT_THROW((void)pario::BlockFile::open(temp_path("ptucker_missing.ptb")),
                InvalidArgument);
+}
+
+TEST(ParIo, ReadIntoRejectsMismatchedDestination) {
+  // A PTT1 file is one block at the end of its header: magic, order, dims.
+  const std::string path = temp_path("ptucker_read_into.ptt");
+  const Dims dims{4, 5, 3};
+  Tensor t(dims);
+  t.fill_from(testing::splitmix_field(12));
+  tensor::save_tensor(path, t);
+  const pario::File file = pario::File::open_read(path);
+  const std::vector<int> grid{1, 1, 1};
+  const std::vector<std::uint64_t> offsets{4 + 8 * (1 + dims.size())};
+  const std::vector<util::Range> ranges{{1, 3}, {0, 5}, {1, 2}};
+  const Tensor expect = t.subtensor(ranges);
+
+  std::vector<double> out(expect.size() + 1, -1.0);
+  const std::span<double> dest(out.data(), expect.size());
+  pario::detail::read_blocked_ranges_into(file, dims, grid, offsets, ranges,
+                                          {}, dest);
+  EXPECT_EQ(testing::max_diff(expect.data(), out.data(), expect.size()), 0.0);
+  EXPECT_EQ(out.back(), -1.0);  // nothing past the request is written
+
+  // One element short or one over, through the read core and through
+  // BlockFile: each is rejected before a byte lands in the destination.
+  std::fill(out.begin(), out.end(), -1.0);
+  for (const std::span<double> wrong :
+       {dest.first(expect.size() - 1), std::span<double>(out)}) {
+    EXPECT_THROW(pario::detail::read_blocked_ranges_into(
+                     file, dims, grid, offsets, ranges, {}, wrong),
+                 InvalidArgument);
+    EXPECT_THROW(pario::BlockFile::open(path).read_ranges_into(ranges, wrong),
+                 InvalidArgument);
+  }
+  for (double v : out) EXPECT_EQ(v, -1.0);
+  std::filesystem::remove(path);
 }
 
 TEST(ParIo, Ptz1LoadOntoDifferentGridIsBitExact) {

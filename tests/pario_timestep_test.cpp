@@ -122,6 +122,32 @@ TEST(TimestepReader, WindowAssemblyIsCommunicationFree) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(TimestepReader, WindowWithEmptyAndRaggedSlabsMatchesSteps) {
+  // 9 ranks on a 3 x 1 x 1 x 3 grid over a 2-step window: time coordinate 0
+  // owns no slices, and mode 0 (extent 7) splits 2/2/3 — across the 3/4
+  // split of the PTB1 step files, so some runs come from two writer blocks.
+  const Dims dims{7, 5, 4};
+  const std::string dir = make_step_dir("ptucker_steps_ragged", dims, 5);
+  run_ranks(9, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {3, 1, 1, 3});
+    const pario::TimestepReader reader(dir);
+    const DistTensor x = reader.read_window(grid, 2, 2);
+    EXPECT_EQ(x.global_dims(), (Dims{7, 5, 4, 2}));
+    if (grid->coord(3) == 0) {
+      EXPECT_EQ(x.local().size(), 0u);
+    }
+    DistTensor expect(grid, Dims{7, 5, 4, 2});
+    expect.fill_global([&](std::span<const std::size_t> idx) {
+      return step_value(idx.subspan(0, 3), 2 + idx[3]);
+    });
+    ASSERT_EQ(expect.local().dims(), x.local().dims());
+    for (std::size_t i = 0; i < x.local().size(); ++i) {
+      ASSERT_EQ(expect.local()[i], x.local()[i]) << "element " << i;
+    }
+  });
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TimestepReader, WindowFeedsSthosvd) {
   const Dims dims{8, 6, 4};
   const std::string dir = make_step_dir("ptucker_steps_hosvd", dims, 4);
