@@ -25,7 +25,6 @@ echo
 run "$BUILD/fig6_modewise_error" --scale 0.02 --ranks 2
 run "$BUILD/fig8a_grid_sweep" --dim 12 --reduced 3 --ranks 4 --max_grids 4
 run "$BUILD/fig9b_weak_scaling" --base_dim 16 --max_ranks 2
-run "$BUILD/ablate_ttm_paths" --dim 32 --ranks 8
 run "$BUILD/ablate_gram_symmetry" --dim 96
 run "$BUILD/ablate_factor_routes" --dim 64 --skinny 8 --ranks 8
 run "$BUILD/ablate_io_paths" --dim 48 --ranks 4
@@ -37,9 +36,10 @@ cat <<'EOF_RETIRED'
 ## Retired baselines
 
 The code of the alternatives below was removed; these are their last
-snapshots, frozen as history. `Auto` never picked the per-slice kernels or
-the flat funnel, and no benchmark workload ran them. The stepwise ring was
-`Auto`'s schedule at Pn <= 2: `Auto` picks `ExploitSymmetry` there, which
+snapshots, frozen as history. `Auto` never picked the per-slice kernels,
+the flat funnel or the reduce-scatter TTM on a benchmark workload, and no
+benchmark workload ran them. The stepwise ring was `Auto`'s schedule at
+Pn <= 2: `Auto` picks `ExploitSymmetry` there, which
 ran the stepwise ring, so the Pn = 2 modes of the compress-sp and
 stream-append workloads ran it. It went because the overlapped ring gives
 bit-identical Gram columns with the same traffic at Pn = 2, and a 10-pair
@@ -49,7 +49,9 @@ rows stay unresolved because the parent's own spread exceeds the bound
 
 Per-slice local TTM (one gemm per right-slice, the paper's "multiple
 subroutine calls to respect the local layout") vs the batched engine,
-from `ablate_ttm_paths --dim 32 --ranks 8`. Both paths were bit-identical.
+from a section of the `ablate_ttm_paths` bench that was removed after
+commit 0f5f025 (the bench itself is retired too, see below). Both paths
+were bit-identical.
 
 ```
 Ablation: local TTM path — 128x128x128 x_n M (K = 12), single rank
@@ -85,6 +87,28 @@ Ablation: IO paths — write+read a 48x48x48 DistTensor on 4 ranks
   root-funnel(flat)  0.0017    0.0013   82951            9
   root-funnel(tree)  0.0019    0.0018   82957            8
   parallel-chunk     0.0027    0.0007   1                6
+```
+
+Chunk-pipelined reduce-scatter TTM (one multiply of all K rows, then a
+reduce-scatter) next to Alg. 3's blocked reduces, from
+`ablate_ttm_paths --dim 32 --ranks 8`. The "auto picks" column is the
+bench's own K*Pn <= Jn test, not `TtmAlgo::Auto`'s choice: `Auto` priced
+blocked on every row (Pn = 2). No benchmark workload ran the
+reduce-scatter schedule (0 `mps.words_per_rank.reduce_scatter` on all
+five), and `Auto` priced it from each rank's local block size, so ranks
+with uneven blocks could pick different schedules and deadlock
+(docs/TUNING.md). The schedule, the switch and the bench were deleted; the
+A/B of that change is in docs/TTM_SCHEDULE_AB.md.
+
+```
+Ablation: TTM paths — 32x32x32 x_0 M, K sweep on a 2x2x2 grid
+  K   blocked(s)  blocked words/rank  rs(s)   rs words/rank  auto picks
+  --  ----------  ------------------  ------  -------------  --------------
+  2   0.0017      256                 0.0015  256            reduce-scatter
+  4   0.0013      512                 0.0013  512            reduce-scatter
+  8   0.0012      1024                0.0010  1024           reduce-scatter
+  16  0.0012      2048                0.0011  2048           reduce-scatter
+  32  0.0014      4096                0.0013  4096           blocked
 ```
 
 Duplicate benchmarks, retired when `bench/suite` became the only

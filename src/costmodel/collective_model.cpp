@@ -73,36 +73,4 @@ CommVolume impl_barrier(int p) {
   return {log2_ceil(p), 0.0};
 }
 
-CommVolume impl_reduce_scatter_chunked(int p, double w, int chunks) {
-  if (p <= 1) return {0.0, 0.0};
-  const int c = chunks < 1 ? 1 : chunks;
-  return {static_cast<double>(c) * static_cast<double>(p - 1), frac(p) * w};
-}
-
-double exposed_comm(double compute_s, double comm_s) {
-  const double exposed = comm_s - compute_s;
-  return exposed > 0.0 ? exposed : 0.0;
-}
-
-double pipeline_makespan(double compute_s, double comm_s,
-                         double per_chunk_overhead_s, int chunks) {
-  const double c = static_cast<double>(chunks < 1 ? 1 : chunks);
-  const double a = compute_s / c;
-  const double b = comm_s / c;
-  const double bottleneck = a > b ? a : b;
-  return (a + b) + (c - 1.0) * bottleneck + c * per_chunk_overhead_s;
-}
-
-PipelinePlan pipeline_chunks(double compute_s, double comm_s,
-                             double per_chunk_overhead_s, int max_chunks) {
-  PipelinePlan best{1, pipeline_makespan(compute_s, comm_s,
-                                         per_chunk_overhead_s, 1)};
-  for (int c = 2; c <= max_chunks; ++c) {
-    const double t =
-        pipeline_makespan(compute_s, comm_s, per_chunk_overhead_s, c);
-    if (t < best.seconds) best = {c, t};
-  }
-  return best;
-}
-
 }  // namespace ptucker::costmodel

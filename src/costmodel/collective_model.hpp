@@ -40,41 +40,4 @@ struct CommVolume {
 /// Dissemination barrier.
 [[nodiscard]] CommVolume impl_barrier(int p);
 
-/// --- overlap-aware terms ------------------------------------------------------
-/// The nonblocking collectives let a schedule hide transfer time behind
-/// compute (initiate, compute, complete). These terms price that hiding so
-/// TtmAlgo::Auto can compare overlapped schedules instead of assuming every
-/// word serializes in front of the flops.
-
-/// Chunked ring reduce-scatter (dist/ttm.cpp's pipelined schedule): the
-/// destination blocks travel in `chunks` back-to-back collectives, each a
-/// full ring round. Words are unchanged — every rank still injects
-/// (p-1)/p * w — but the latency term multiplies by the chunk count
-/// (zero-length chunks still travel as empty messages).
-[[nodiscard]] CommVolume impl_reduce_scatter_chunked(int p, double w,
-                                                     int chunks);
-
-/// Communication seconds left exposed on the critical path when comm_s of
-/// transfer is overlapped with compute_s of independent compute:
-/// max(comm_s - compute_s, 0).
-[[nodiscard]] double exposed_comm(double compute_s, double comm_s);
-
-/// Makespan of a two-stage (compute -> communicate) pipeline over `chunks`
-/// equal chunks with a fixed per-chunk initiation overhead:
-///   (a + b) + (chunks - 1) * max(a, b) + chunks * overhead
-/// with a = compute_s/chunks, b = comm_s/chunks. chunks = 1 is the
-/// non-overlapped baseline compute_s + comm_s + overhead.
-[[nodiscard]] double pipeline_makespan(double compute_s, double comm_s,
-                                       double per_chunk_overhead_s, int chunks);
-
-/// The chunk count in [1, max_chunks] minimizing pipeline_makespan, with the
-/// modeled makespan at that count.
-struct PipelinePlan {
-  int chunks = 1;
-  double seconds = 0.0;
-};
-[[nodiscard]] PipelinePlan pipeline_chunks(double compute_s, double comm_s,
-                                           double per_chunk_overhead_s,
-                                           int max_chunks);
-
 }  // namespace ptucker::costmodel

@@ -201,7 +201,7 @@ SketchFactorResult factor_via_sketch(const DistTensor& y, int mode,
   // processor-column allgatherv hidden under the own-block columns, then
   // re-orthonormalize.
   for (int pass = 0; pass < options.power_iterations; ++pass) {
-    const DistTensor z = ttm(y, q.transposed(), mode, TtmAlgo::Auto);
+    const DistTensor z = ttm(y, q.transposed(), mode);
     q = orthonormalize(overlapped_power_cross_gram(y, z, mode));
   }
 
@@ -210,7 +210,7 @@ SketchFactorResult factor_via_sketch(const DistTensor& y, int mode,
   // Z (w-row unfolding — cheap) plus the redundant SVD of R^T yields
   // sigma_i(B) and the left vectors U_B, exactly as factor_via_tsqr does for
   // the full unfolding.
-  const DistTensor z = ttm(y, q.transposed(), mode, TtmAlgo::Auto);
+  const DistTensor z = ttm(y, q.transposed(), mode);
   const tensor::Matrix r = tsqr_r_factor(z, mode);
 
   const tensor::Matrix rt = r.transposed();

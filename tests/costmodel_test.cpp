@@ -106,8 +106,7 @@ TEST(TuckerModel, TtmWordVolumeMatchesBlockedImplementation) {
   rt.reset_stats();
   rt.run([&](mps::Comm& comm) {
     const tensor::Matrix m = tensor::Matrix::randn(k, dims[0], 5);
-    (void)dist::ttm(xs[static_cast<std::size_t>(comm.rank())], m, mode,
-                    dist::TtmAlgo::Blocked);
+    (void)dist::ttm(xs[static_cast<std::size_t>(comm.rank())], m, mode);
   });
   // Each of the Pn = 2 rounds reduces a partial block tensor of
   // (k/Pn) x (8/2) x (8/1) = 2*4*8 = 64 doubles over the 2-rank mode comm.

@@ -11,7 +11,6 @@ namespace ptucker {
 namespace {
 
 using dist::DistTensor;
-using dist::TtmAlgo;
 using tensor::Dims;
 using tensor::Matrix;
 using tensor::Tensor;
@@ -32,8 +31,8 @@ void fill_test_tensor(DistTensor& x, std::uint64_t seed) {
   });
 }
 
-/// Parameter: (grid shape, mode, K, algo).
-using TtmCase = std::tuple<std::vector<int>, int, std::size_t, TtmAlgo>;
+/// Parameter: (grid shape, mode, K).
+using TtmCase = std::tuple<std::vector<int>, int, std::size_t>;
 
 class DistTtm : public ::testing::TestWithParam<TtmCase> {};
 
@@ -44,37 +43,24 @@ std::vector<TtmCase> ttm_cases() {
   for (const auto& g : grids) {
     for (int mode = 0; mode < 3; ++mode) {
       for (std::size_t k : {std::size_t{2}, std::size_t{5}, std::size_t{9}}) {
-        for (TtmAlgo algo : {TtmAlgo::Blocked, TtmAlgo::ReduceScatter,
-                             TtmAlgo::Auto}) {
-          cases.emplace_back(g, mode, k, algo);
-        }
+        cases.emplace_back(g, mode, k);
       }
     }
   }
   return cases;
 }
 
-const char* algo_name(TtmAlgo algo) {
-  switch (algo) {
-    case TtmAlgo::Auto: return "Auto";
-    case TtmAlgo::Blocked: return "Blocked";
-    case TtmAlgo::ReduceScatter: return "RS";
-  }
-  return "?";
-}
-
 std::string ttm_case_name(const ::testing::TestParamInfo<TtmCase>& info) {
   return ptucker::testing::shape_name(std::get<0>(info.param)) + "_mode" +
          std::to_string(std::get<1>(info.param)) + "_k" +
-         std::to_string(std::get<2>(info.param)) + "_" +
-         algo_name(std::get<3>(info.param));
+         std::to_string(std::get<2>(info.param));
 }
 
-INSTANTIATE_TEST_SUITE_P(GridsModesAlgos, DistTtm,
+INSTANTIATE_TEST_SUITE_P(GridsModes, DistTtm,
                          ::testing::ValuesIn(ttm_cases()), ttm_case_name);
 
 TEST_P(DistTtm, MatchesSequentialOracle) {
-  const auto& [shape, mode, k, algo] = GetParam();
+  const auto& [shape, mode, k] = GetParam();
   const Dims dims{7, 6, 8};  // non-divisible by several extents
   const Matrix m = Matrix::randn(k, dims[static_cast<std::size_t>(mode)], 77);
 
@@ -91,25 +77,12 @@ TEST_P(DistTtm, MatchesSequentialOracle) {
     auto grid = dist::make_grid(comm, shape);
     DistTensor x(grid, dims);
     fill_test_tensor(x, 55);
-    const DistTensor z = dist::ttm(x, m, mode, algo);
+    const DistTensor z = dist::ttm(x, m, mode);
     EXPECT_EQ(z.global_dim(mode), k);
     const Tensor gathered = z.gather(0);
     if (comm.rank() == 0) {
       EXPECT_LT(testing::max_diff(expected, gathered), 1e-10);
     }
-  });
-}
-
-TEST(DistTtm, BlockedAndReduceScatterAgreeExactly) {
-  const Dims dims{8, 8, 8};
-  run_ranks(8, [&](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, {2, 2, 2});
-    DistTensor x(grid, dims);
-    fill_test_tensor(x, 7);
-    const Matrix m = Matrix::randn(3, 8, 9);
-    const DistTensor a = dist::ttm(x, m, 1, TtmAlgo::Blocked);
-    const DistTensor b = dist::ttm(x, m, 1, TtmAlgo::ReduceScatter);
-    EXPECT_LT(testing::max_diff(a.local(), b.local()), 1e-11);
   });
 }
 
@@ -159,14 +132,40 @@ TEST(DistTtm, OutputSmallerThanGridExtent) {
   run_ranks(4, [&](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {4, 1, 1});
     const DistTensor x = DistTensor::scatter(grid, global, 0);
-    for (TtmAlgo algo : {TtmAlgo::Blocked, TtmAlgo::ReduceScatter}) {
-      const DistTensor z = dist::ttm(x, m, 0, algo);
-      const Tensor gathered = z.gather(0);
-      if (comm.rank() == 0) {
-        EXPECT_LT(testing::max_diff(expected, gathered), 1e-10);
-      }
+    const DistTensor z = dist::ttm(x, m, 0);
+    const Tensor gathered = z.gather(0);
+    if (comm.rank() == 0) {
+      EXPECT_LT(testing::max_diff(expected, gathered), 1e-10);
     }
   });
+}
+
+TEST(DistTtm, UnevenInputBlocks) {
+  // Mode 0's input blocks differ in size across the processor column: an
+  // empty block (extent 1 over 2 ranks) and blocks of 2/1/1 rows. Every
+  // rank of the column must post the same collectives regardless of the
+  // size of its own block.
+  struct Case {
+    std::vector<int> shape;
+    Dims dims;
+    std::size_t k;
+  };
+  for (const Case& c : {Case{{2, 1, 1}, Dims{1, 4, 4}, 2},
+                        Case{{3, 1, 1}, Dims{4, 16, 8}, 24}}) {
+    const Tensor global = Tensor::randn(c.dims, 33);
+    const Matrix m = Matrix::randn(c.k, c.dims[0], 34);
+    const Tensor expected = tensor::local_ttm(global, m, 0);
+    run_ranks(grid_size(c.shape), [&](mps::Comm& comm) {
+      auto grid = dist::make_grid(comm, c.shape);
+      const DistTensor x = DistTensor::scatter(grid, global, 0);
+      const DistTensor z = dist::ttm(x, m, 0);
+      const Tensor gathered = z.gather(0);
+      if (comm.rank() == 0) {
+        EXPECT_LT(testing::max_diff(expected, gathered), 1e-10)
+            << testing::shape_name(c.shape);
+      }
+    });
+  }
 }
 
 TEST(DistTtm, NoCommunicationWhenPnIsOne) {

@@ -26,18 +26,28 @@ TuckerTensor make_model(std::shared_ptr<mps::CartGrid> grid, const Dims& dims,
 }
 
 TEST(Reconstruct, FullReconstructionMatchesData) {
-  run_ranks(4, [](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, {2, 2, 1});
-    const Dims dims{9, 8, 7};
-    const DistTensor x =
-        data::make_low_rank(grid, dims, Dims{3, 2, 4}, 3, 0.0);
-    core::SthosvdOptions opts;
-    opts.epsilon = 1e-8;
-    const TuckerTensor model = core::st_hosvd(x, opts).tucker;
-    const DistTensor xt = core::reconstruct(model);
-    EXPECT_EQ(xt.global_dims(), dims);
-    EXPECT_LT(core::normalized_error(x, xt), 1e-9);
-  });
+  // The second input's core has mode-0 extent 1 on a mode with 2 ranks, so
+  // one rank's core block is empty when the expanding TTM runs on mode 0.
+  struct Case {
+    Dims ranks;
+    bool fixed;  // compress to exactly these ranks, not by epsilon
+  };
+  for (const Case& c : {Case{Dims{3, 2, 4}, false},
+                        Case{Dims{1, 2, 4}, true}}) {
+    run_ranks(4, [&](mps::Comm& comm) {
+      auto grid = dist::make_grid(comm, {2, 2, 1});
+      const Dims dims{9, 8, 7};
+      const DistTensor x = data::make_low_rank(grid, dims, c.ranks, 3, 0.0);
+      core::SthosvdOptions opts;
+      opts.epsilon = 1e-8;
+      if (c.fixed) opts.fixed_ranks = c.ranks;
+      const TuckerTensor model = core::st_hosvd(x, opts).tucker;
+      const DistTensor xt = core::reconstruct(model);
+      EXPECT_EQ(xt.global_dims(), dims);
+      EXPECT_LT(core::normalized_error(x, xt), 1e-9)
+          << "ranks " << c.ranks[0] << "x" << c.ranks[1] << "x" << c.ranks[2];
+    });
+  }
 }
 
 TEST(Reconstruct, SubtensorMatchesSliceOfFullReconstruction) {
