@@ -1,7 +1,7 @@
 /// \file ablate_io_paths.cpp
 /// \brief The two ways to move a distributed tensor to and from disk:
 ///   root-funnel : binomial-tree gather/scatter through rank 0 (O(log P)
-///                 root latency), rank 0 streams PTT1
+///                 root latency), rank 0 writes and reads one PTT1 file
 ///   parallel    : the PTB1 chunked container — every rank pread/pwrites
 ///                 its own block, zero inter-rank data movement
 /// TuckerMPI (Ballard, Klinvex, Kolda 2019) made exactly this layer
@@ -12,7 +12,6 @@
 #include "bench_common.hpp"
 #include "dist/grid.hpp"
 #include "pario/block_file.hpp"
-#include "tensor/tensor_io.hpp"
 #include "util/cli.hpp"
 
 using namespace ptucker;
@@ -63,6 +62,7 @@ int main(int argc, char** argv) {
   });
 
   const std::string funnel_file = tmp_path("ptucker_io_funnel.ptt");
+  const std::vector<util::Range> whole(dims.size(), util::Range{0, dim});
   const std::string chunk_file = tmp_path("ptucker_io_chunk.ptb");
 
   auto run_funnel = [&] {
@@ -73,14 +73,16 @@ int main(int argc, char** argv) {
       const double tw = bench::time_region(comm, [&] {
         for (int r = 0; r < reps; ++r) {
           const tensor::Tensor global = x.gather(0);
-          if (comm.rank() == 0) tensor::save_tensor(funnel_file, global);
+          if (comm.rank() == 0) pario::save_tensor(funnel_file, global);
           comm.barrier();  // file complete before anyone reads
         }
       });
       const double tr = bench::time_region(comm, [&] {
         for (int r = 0; r < reps; ++r) {
           tensor::Tensor global;
-          if (comm.rank() == 0) global = tensor::load_tensor(funnel_file);
+          if (comm.rank() == 0) {
+            global = pario::BlockFile::open(funnel_file).read_ranges(whole);
+          }
           const dist::DistTensor y =
               dist::DistTensor::scatter(x.grid_ptr(), global, 0);
           PT_CHECK(y.local().size() == x.local().size(), "bad round trip");

@@ -21,7 +21,6 @@
 #include "mps/runtime.hpp"
 #include "obs/trace.hpp"
 #include "pario/block_file.hpp"
-#include "tensor/tensor_io.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"
 
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
   if (!args.get_string("demo").empty()) {
     const tensor::Tensor demo = data::make_low_rank_seq(
         tensor::Dims{48, 40, 36}, tensor::Dims{6, 5, 4}, 1234, 1e-6);
-    tensor::save_tensor(args.get_string("demo"), demo);
+    pario::save_tensor(args.get_string("demo"), demo);
     std::printf("wrote demo tensor 48x40x36 (true ranks 6x5x4) to %s\n",
                 args.get_string("demo").c_str());
     return 0;

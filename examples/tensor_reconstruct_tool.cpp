@@ -29,7 +29,6 @@
 #include "pario/block_file.hpp"
 #include "pario/model_io.hpp"
 #include "pario/timestep_reader.hpp"
-#include "tensor/tensor_io.hpp"
 #include "util/cli.hpp"
 
 using namespace ptucker;
@@ -147,7 +146,7 @@ int run_single_model(mps::Comm& comm, const util::ArgParser& args,
     pario::write_dist_tensor(output, slice);
   } else {
     const tensor::Tensor global = slice.gather(0);
-    if (comm.rank() == 0) tensor::save_tensor(output, global);
+    if (comm.rank() == 0) pario::save_tensor(output, global);
   }
   if (comm.rank() == 0) {
     std::printf("reconstructed");
@@ -211,7 +210,7 @@ int run_archive(mps::Comm& comm, const util::ArgParser& args,
     pario::write_dist_tensor(output, slice);
   } else {
     const tensor::Tensor global = slice.gather(0);
-    if (comm.rank() == 0) tensor::save_tensor(output, global);
+    if (comm.rank() == 0) pario::save_tensor(output, global);
   }
   if (comm.rank() == 0) {
     std::printf("reconstructed steps %llu:%llu x",

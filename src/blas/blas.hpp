@@ -24,12 +24,6 @@ enum class Trans : std::uint8_t {
   Yes  ///< use the transpose
 };
 
-/// Number of rows of op(A) given A's stored shape.
-[[nodiscard]] constexpr std::size_t op_rows(Trans t, std::size_t rows,
-                                            std::size_t cols) {
-  return t == Trans::No ? rows : cols;
-}
-
 /// --- flop accounting ---------------------------------------------------------
 
 /// Total flops executed by all kernels since the last reset (all threads).

@@ -53,9 +53,4 @@ double compression_ratio(const tensor::Dims& dims, const tensor::Dims& ranks) {
   return static_cast<double>(tensor::prod(dims)) / compressed;
 }
 
-double error_from_core_norm(double norm_x_sq, double core_norm_sq) {
-  const double err_sq = std::max(0.0, norm_x_sq - core_norm_sq);
-  return norm_x_sq > 0.0 ? std::sqrt(err_sq / norm_x_sq) : std::sqrt(err_sq);
-}
-
 }  // namespace ptucker::core

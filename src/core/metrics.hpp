@@ -28,8 +28,4 @@ namespace ptucker::core {
 [[nodiscard]] double compression_ratio(const tensor::Dims& dims,
                                        const tensor::Dims& ranks);
 
-/// Relative-error estimate from the core norm: sqrt(‖X‖² − ‖G‖²)/‖X‖.
-[[nodiscard]] double error_from_core_norm(double norm_x_sq,
-                                          double core_norm_sq);
-
 }  // namespace ptucker::core

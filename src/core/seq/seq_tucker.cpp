@@ -207,18 +207,6 @@ ModeFactor leading_factor(const Tensor& y, int mode, FactorMethod method,
 
 }  // namespace
 
-std::string_view seq_factor_method_name(FactorMethod method) {
-  switch (method) {
-    case FactorMethod::GramEig:
-      return "gram-eig";
-    case FactorMethod::SvdQr:
-      return "svd-qr";
-    case FactorMethod::Randomized:
-      return "randomized";
-  }
-  return "?";
-}
-
 double SeqTucker::compression_ratio() const {
   Dims dims(factors.size());
   Dims ranks(factors.size());
@@ -270,55 +258,6 @@ SeqResult seq_st_hosvd(const Tensor& x, const SeqOptions& options) {
   result.tucker.core = std::move(y);
   result.error_bound =
       result.norm_x > 0.0 ? std::sqrt(tail_total) / result.norm_x : 0.0;
-  return result;
-}
-
-SeqHooiResult seq_hooi(const Tensor& x, const SeqOptions& init_options,
-                       int max_sweeps, double improvement_tol) {
-  SeqResult init = seq_st_hosvd(x, init_options);
-  SeqHooiResult result;
-  result.tucker = std::move(init.tucker);
-  const int order = x.order();
-  const double norm_sq = init.norm_x * init.norm_x;
-
-  std::vector<std::size_t> ranks(static_cast<std::size_t>(order));
-  for (int n = 0; n < order; ++n) {
-    ranks[static_cast<std::size_t>(n)] =
-        result.tucker.factors[static_cast<std::size_t>(n)].cols();
-  }
-  auto rel_err_sq = [&](double core_sq) {
-    return std::max(0.0, norm_sq - core_sq) / (norm_sq > 0.0 ? norm_sq : 1.0);
-  };
-  double err_sq = rel_err_sq(result.tucker.core.norm_squared());
-  result.error_history.push_back(std::sqrt(err_sq));
-
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    Tensor y;
-    for (int n = 0; n < order; ++n) {
-      y = x;
-      for (int m = 0; m < order; ++m) {
-        if (m == n) continue;
-        y = tensor::local_ttm(
-            y, result.tucker.factors[static_cast<std::size_t>(m)].transposed(),
-            m);
-      }
-      ModeFactor factor =
-          leading_factor(y, n, init_options.method,
-                         ranks[static_cast<std::size_t>(n)], 0.0,
-                         init_options.sketch);
-      result.tucker.factors[static_cast<std::size_t>(n)] = std::move(factor.u);
-    }
-    result.tucker.core = tensor::local_ttm(
-        y,
-        result.tucker.factors[static_cast<std::size_t>(order - 1)].transposed(),
-        order - 1);
-    const double new_err_sq = rel_err_sq(result.tucker.core.norm_squared());
-    result.error_history.push_back(std::sqrt(new_err_sq));
-    result.sweeps = sweep + 1;
-    const double improvement = err_sq - new_err_sq;
-    err_sq = new_err_sq;
-    if (improvement < improvement_tol) break;
-  }
   return result;
 }
 

@@ -2,7 +2,7 @@
 /// \file seq_tucker.hpp
 /// \brief Sequential reference Tucker implementation.
 ///
-/// A single-rank, communication-free ST-HOSVD / HOOI / reconstruction stack
+/// A single-rank, communication-free ST-HOSVD / reconstruction stack
 /// built directly on the local kernels. It serves three purposes:
 ///  1. cross-validation oracle for the distributed algorithms (the property
 ///     tests demand bit-for-bit-comparable errors across all grids),
@@ -11,7 +11,6 @@
 ///     sketch factor computations.
 
 #include <string>
-#include <string_view>
 
 #include "dist/sketch.hpp"
 #include "lapack/lapack.hpp"
@@ -30,8 +29,6 @@ enum class FactorMethod {
               ///< mirroring the distributed route entry for entry (same
               ///< counter-based Omega per (seed, mode))
 };
-
-[[nodiscard]] std::string_view seq_factor_method_name(FactorMethod method);
 
 /// A mode whose requested method could not run (SvdQr on a degenerate
 /// non-wide unfolding, or a sketch that failed the eq. 3 posteriori check)
@@ -77,17 +74,6 @@ struct SeqResult {
 
 [[nodiscard]] SeqResult seq_st_hosvd(const Tensor& x,
                                      const SeqOptions& options = {});
-
-struct SeqHooiResult {
-  SeqTucker tucker;
-  std::vector<double> error_history;
-  int sweeps = 0;
-};
-
-[[nodiscard]] SeqHooiResult seq_hooi(const Tensor& x,
-                                     const SeqOptions& init_options = {},
-                                     int max_sweeps = 10,
-                                     double improvement_tol = 1e-6);
 
 [[nodiscard]] Tensor seq_reconstruct(const SeqTucker& model);
 

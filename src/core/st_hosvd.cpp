@@ -8,18 +8,6 @@
 
 namespace ptucker::core {
 
-std::string_view factor_route_name(FactorRoute route) {
-  switch (route) {
-    case FactorRoute::Gram:
-      return "gram";
-    case FactorRoute::Tsqr:
-      return "tsqr";
-    case FactorRoute::Randomized:
-      return "randomized";
-  }
-  return "?";
-}
-
 FactorRoute resolve_factor_route(FactorMethod method, const DistTensor& y,
                                  int mode, const dist::SketchOptions& sketch,
                                  double epsilon, std::size_t fixed_rank) {

@@ -20,7 +20,6 @@
 /// paper's eq. 2 (costmodel::memory_bound_per_rank).
 
 #include <string>
-#include <string_view>
 
 #include "core/tucker_tensor.hpp"
 #include "dist/eigenvectors.hpp"
@@ -48,8 +47,6 @@ enum class FactorMethod {
 /// The route actually used for a mode (after Auto resolution and any
 /// eps-tail fallback).
 enum class FactorRoute { Gram, Tsqr, Randomized };
-
-[[nodiscard]] std::string_view factor_route_name(FactorRoute route);
 
 /// A mode whose requested route could not run (or could not certify the
 /// eq. 3 budget) and was replaced by an exact one — recorded instead of

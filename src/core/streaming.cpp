@@ -158,14 +158,6 @@ void StreamingCompressor::flush_pending() {
   pending_.clear();
 }
 
-std::vector<StreamingCompressor::WindowResult>
-StreamingCompressor::compress_all() {
-  std::vector<WindowResult> results;
-  WindowResult r;
-  while (compress_next(&r)) results.push_back(r);
-  return results;
-}
-
 StreamingReconstructor::StreamingReconstructor(const std::string& archive_path)
     : archive_(archive_path) {}
 

@@ -101,9 +101,6 @@ class StreamingCompressor {
   /// ever dropped.
   bool compress_next(WindowResult* out = nullptr);
 
-  /// Collective: drive compress_next to completion.
-  std::vector<WindowResult> compress_all();
-
  private:
   /// One compressed-but-uncommitted window awaiting the batched append.
   struct PendingWindow {

@@ -36,9 +36,6 @@ struct TuckerTensor {
 
   /// Compression ratio C = original / compressed (paper eq. in Sec. VII-B).
   [[nodiscard]] double compression_ratio() const;
-
-  /// ‖G‖ (collective).
-  [[nodiscard]] double core_norm() const { return core.norm(); }
 };
 
 }  // namespace ptucker::core

@@ -195,29 +195,6 @@ KernelCost sthosvd_cost(const Dims& dims, const Dims& ranks,
   return total;
 }
 
-KernelCost hooi_sweep_cost(const Dims& dims, const Dims& ranks,
-                           const std::vector<int>& grid) {
-  const int order = static_cast<int>(dims.size());
-  KernelCost total;
-  for (int n = 0; n < order; ++n) {
-    // Multi-TTM: start from X, multiply every mode but n (natural order).
-    Dims work = dims;
-    for (int m = 0; m < order; ++m) {
-      if (m == n) continue;
-      const std::size_t um = static_cast<std::size_t>(m);
-      total += ttm_cost(work, ranks[um], m, grid);
-      work[um] = ranks[um];
-    }
-    total += gram_cost(work, n, grid, /*symmetric=*/true);
-    total += evecs_cost(work[static_cast<std::size_t>(n)], n, grid);
-    if (n == order - 1) {
-      // Final core TTM (Alg. 2 line 9).
-      total += ttm_cost(work, ranks[static_cast<std::size_t>(n)], n, grid);
-    }
-  }
-  return total;
-}
-
 double memory_bound_per_rank(const Dims& dims, const Dims& ranks,
                              const std::vector<int>& grid) {
   const double p = grid_size(grid);
@@ -233,12 +210,6 @@ double memory_bound_per_rank(const Dims& dims, const Dims& ranks,
     max_rn_in = std::max(max_rn_in, rn * in);
   }
   return bound + max_in_sq + max_rn_in;
-}
-
-double sthosvd_flops(const Dims& dims, const Dims& ranks,
-                     const std::vector<int>& order) {
-  const std::vector<int> unit_grid(dims.size(), 1);
-  return sthosvd_cost(dims, ranks, unit_grid, order).flops;
 }
 
 }  // namespace ptucker::costmodel

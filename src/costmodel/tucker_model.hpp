@@ -44,9 +44,9 @@ struct Machine {
 /// Cost of S = Y(n) Y(n)^T (paper C_GRAM). With symmetric = true the local
 /// diagonal-block kernel is the packed symmetry-exploiting syrk — n(n+1)k
 /// instead of 2n^2k flops with n = Jn/Pn, identical communication.
-/// dist::gram always runs the symmetric kernel, so sthosvd_cost,
-/// hooi_sweep_cost and the route predicates pass true;
-/// bench/ablate_gram_symmetry has the measurements.
+/// dist::gram always runs the symmetric kernel, so sthosvd_cost and the
+/// route predicates pass true; bench/ablate_gram_symmetry has the
+/// measurements.
 [[nodiscard]] KernelCost gram_cost(const Dims& dims, int mode,
                                    const std::vector<int>& grid,
                                    bool symmetric = false);
@@ -102,20 +102,9 @@ struct Machine {
                                       const std::vector<int>& grid,
                                       const std::vector<int>& order);
 
-/// Cost of one HOOI sweep (paper Sec. VI-B), mirroring our implementation:
-/// for every mode, a full (N-1)-TTM chain from X, a Gram, an eigensolve;
-/// plus the final core TTM.
-[[nodiscard]] KernelCost hooi_sweep_cost(const Dims& dims, const Dims& ranks,
-                                         const std::vector<int>& grid);
-
 /// Paper eq. (2): per-rank memory upper bound (in doubles) for ST-HOSVD /
 /// HOOI.
 [[nodiscard]] double memory_bound_per_rank(const Dims& dims, const Dims& ranks,
                                            const std::vector<int>& grid);
-
-/// Sequential flop count for ST-HOSVD (P = 1 grid), used to compute the
-/// GFLOPS figures of the scaling benches.
-[[nodiscard]] double sthosvd_flops(const Dims& dims, const Dims& ranks,
-                                   const std::vector<int>& order);
 
 }  // namespace ptucker::costmodel

@@ -133,11 +133,6 @@ NormalizationStats normalize_species_seq(tensor::Tensor& x, int species_mode) {
   return stats;
 }
 
-void denormalize_species_seq(tensor::Tensor& x,
-                             const NormalizationStats& stats) {
-  denormalize_species_range_seq(x, stats, 0);
-}
-
 void denormalize_species_range_seq(tensor::Tensor& x,
                                    const NormalizationStats& stats,
                                    std::size_t species_lo) {

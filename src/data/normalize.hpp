@@ -34,10 +34,8 @@ void denormalize_species_range(dist::DistTensor& x,
                                const NormalizationStats& stats,
                                std::size_t species_lo);
 
-/// Sequential variants for tests and small runs.
+/// Sequential variant for tests and small runs.
 NormalizationStats normalize_species_seq(tensor::Tensor& x, int species_mode);
-void denormalize_species_seq(tensor::Tensor& x,
-                             const NormalizationStats& stats);
 
 /// Sequential inverse transform for a tensor whose species mode covers only
 /// the global species indices [species_lo, species_lo + extent) of \p stats

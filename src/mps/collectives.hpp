@@ -6,17 +6,17 @@
 /// Algorithms follow the classical implementations referenced by the paper
 /// for its Tab. I cost model (Chan et al. 2007, Thakur et al. 2005):
 ///  - broadcast / reduce / gather-to-root: binomial trees (any P),
-///  - all-gather / reduce-scatter: bandwidth-optimal rings (any P),
-///  - all-reduce: reduce-scatter + all-gather (Rabenseifner) for large
+///  - all-gather: a bandwidth-optimal ring (any P),
+///  - all-reduce: ring reduce-scatter + all-gather (Rabenseifner) for large
 ///    payloads, reduce + broadcast for latency-bound payloads.
 ///
 /// Each algorithm is compiled into a per-rank action script at initiation
-/// (`ibroadcast` / `ireduce` / `iallreduce` / `iallgatherv` /
-/// `ireduce_scatter`, returning a CollectiveHandle) and driven by
-/// `wait()`/`test()` — see collective_handle.hpp. The blocking entry points
-/// are thin istart+wait wrappers over the same scripts, so there is exactly
-/// one implementation per algorithm and the nonblocking path is bitwise
-/// identical to the blocking one by construction.
+/// (`ibroadcast` / `ireduce` / `iallreduce` / `iallgatherv`, returning a
+/// CollectiveHandle) and driven by `wait()`/`test()` — see
+/// collective_handle.hpp. The blocking entry points are thin istart+wait
+/// wrappers over the same scripts, so there is exactly one implementation
+/// per algorithm and the nonblocking path is bitwise identical to the
+/// blocking one by construction.
 ///
 /// Per-rank injected words for the ring algorithms equal the paper's
 /// (P-1)/P * W beta terms exactly; the cost-model tests assert this.
@@ -412,56 +412,6 @@ void allgather(const Comm& comm, std::span<const T> mine, std::span<T> all) {
   const std::vector<std::size_t> counts(
       static_cast<std::size_t>(comm.size()), mine.size());
   allgatherv(comm, mine, all, std::span<const std::size_t>(counts));
-}
-
-/// --- reduce-scatter ---------------------------------------------------------
-
-/// Initiate a ring reduce-scatter: element-wise reduction of each rank's
-/// full \p in, with block i of the result (counts[i] elements) delivered to
-/// rank i's \p out. Bandwidth-optimal: each rank injects W - counts[rank]
-/// words. The input is captured (copied) at initiation; \p out is written
-/// at completion.
-template <class T, class Op = Sum<T>>
-[[nodiscard]] CollectiveHandle ireduce_scatter(
-    const Comm& comm, std::span<const T> in, std::span<T> out,
-    std::span<const std::size_t> counts, Op op = {}) {
-  const int p = comm.size();
-  comm.note_collective(OpKind::ReduceScatter, in.size_bytes());
-  PT_CHECK(static_cast<int>(counts.size()) == p, "reduce_scatter: counts");
-  auto aop = detail::make_async_op(comm, OpKind::ReduceScatter);
-  const int tag = detail::async_tag(comm.alloc_async_seq(), 0);
-
-  auto st = std::make_shared<detail::RingState<T>>();
-  st->counts.assign(counts.begin(), counts.end());
-  st->offsets = detail::offsets_from_counts(counts);
-  aop->state = st;
-
-  PT_CHECK(in.size() == st->offsets[static_cast<std::size_t>(p)],
-           "reduce_scatter: input size mismatch");
-  const int r = comm.rank();
-  PT_CHECK(out.size() == counts[static_cast<std::size_t>(r)],
-           "reduce_scatter: output size mismatch");
-  st->work.assign(in.begin(), in.end());
-  detail::build_reduce_scatter_ring(*aop, comm, st.get(), tag, op);
-  {
-    detail::AsyncAction a;
-    a.kind = detail::AsyncAction::Kind::Local;
-    detail::RingState<T>* s = st.get();
-    T* dst = out.data();
-    const std::size_t ru = static_cast<std::size_t>(r);
-    a.run = [s, dst, ru] {
-      copy_bytes(dst, s->work.data() + s->offsets[ru],
-                 s->counts[ru] * sizeof(T));
-    };
-    aop->actions.push_back(std::move(a));
-  }
-  return detail::launch(std::move(aop));
-}
-
-template <class T, class Op = Sum<T>>
-void reduce_scatter(const Comm& comm, std::span<const T> in, std::span<T> out,
-                    std::span<const std::size_t> counts, Op op = {}) {
-  ireduce_scatter(comm, in, out, counts, op).wait();
 }
 
 /// --- all-reduce ---------------------------------------------------------------

@@ -71,14 +71,6 @@ class Comm {
     recv_bytes(std::as_writable_bytes(buf), src, tag);
   }
 
-  /// Combined exchange, safe in rings because sends are eager.
-  template <class T>
-  void sendrecv(std::span<const T> sendbuf, int dest, std::span<T> recvbuf,
-                int src, int tag) const {
-    send(sendbuf, dest, tag);
-    recv(recvbuf, src, tag);
-  }
-
   /// --- communicator management -------------------------------------------
   /// Collective: partitions the group by \p color (color < 0 => the caller
   /// gets a null Comm); members of each color are ordered by (key, rank).

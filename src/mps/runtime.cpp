@@ -5,7 +5,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/log.hpp"
+#include "util/thread_rank.hpp"
 
 namespace ptucker::mps {
 

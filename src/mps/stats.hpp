@@ -24,7 +24,7 @@ enum class OpKind : int {
   Reduce,
   AllReduce,
   AllGather,
-  ReduceScatter,
+  ReduceScatter,  ///< kept only for bench/suite's reduce_scatter metric key
   Gather,
   Scatter,
   kCount

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/log.hpp"
+#include "util/thread_rank.hpp"
 
 namespace ptucker::obs {
 

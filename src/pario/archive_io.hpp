@@ -143,10 +143,6 @@ class ArchiveReader {
 
   /// Dims of one step (spatial x species, no time mode).
   [[nodiscard]] const tensor::Dims& step_dims() const { return step_dims_; }
-  /// Order of every archived model (= step order + 1).
-  [[nodiscard]] int model_order() const {
-    return static_cast<int>(step_dims_.size()) + 1;
-  }
   /// Declared species mode, -1 when none.
   [[nodiscard]] int species_mode() const;
 

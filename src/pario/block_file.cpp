@@ -73,6 +73,16 @@ void BlockFile::read_ranges_into(const std::vector<util::Range>& ranges,
                                    crcs_, out);
 }
 
+void save_tensor(const std::string& path, const tensor::Tensor& t) {
+  detail::HeaderWriter w;
+  w.magic(kMagicTensor);
+  w.u64(static_cast<std::uint64_t>(t.order()));
+  for (std::size_t d : t.dims()) w.u64(d);
+  const File f = File::create(path);
+  f.write_at(0, w.bytes().data(), w.bytes().size());
+  f.write_at(w.size(), t.data(), t.size() * sizeof(double));
+}
+
 std::uint64_t ptb1_file_bytes(const tensor::Dims& dims,
                               const std::vector<int>& grid) {
   const auto offsets = detail::block_offsets(dims, grid, 0);

@@ -24,9 +24,11 @@
 /// header so a reader on a *different* grid can locate the runs it needs
 /// (redistribution) and so truncation is detected, not trusted.
 ///
-/// A plain "PTT1" tensor file is readable through the same interface as a
-/// degenerate PTB1 with a 1 x ... x 1 grid, which is what lets the example
-/// tools and the timestep reader ingest legacy files block-parallel.
+/// A plain "PTT1" tensor file ("PTT1" | u64 order | u64 dims[N] | f64 data,
+/// no version, no checksum; written by save_tensor) is readable through the
+/// same interface as a degenerate PTB1 with a 1 x ... x 1 grid, which is
+/// what lets the example tools and the timestep reader ingest such files
+/// block-parallel.
 
 #include <memory>
 #include <span>
@@ -81,6 +83,10 @@ void write_dist_tensor(const std::string& path, const dist::DistTensor& x);
 /// messages, no barriers.
 [[nodiscard]] dist::DistTensor read_dist_tensor(
     std::shared_ptr<mps::CartGrid> grid, const std::string& path);
+
+/// Write \p t as a PTT1 file, one writer (no communication). The file is
+/// created (truncated if present) and written with positioned writes.
+void save_tensor(const std::string& path, const tensor::Tensor& t);
 
 /// Total byte size of the PTB1 container write_dist_tensor emits for the
 /// given dims and grid.

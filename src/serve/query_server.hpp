@@ -129,7 +129,6 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  [[nodiscard]] std::size_t archive_count() const { return archives_.size(); }
   /// Dims of one step of archive \p a (spatial x species, no time mode).
   [[nodiscard]] tensor::Dims step_dims(std::size_t a) const;
   /// One past the last committed step of archive \p a (re-snapshots the

@@ -77,10 +77,6 @@ Matrix Matrix::row_subset(std::span<const std::size_t> rows) const {
   return b;
 }
 
-double Matrix::frob_norm() const {
-  return blas::nrm2(data_.size(), data_.data());
-}
-
 Matrix Matrix::multiply(const Matrix& a, bool transpose_a, const Matrix& b,
                         bool transpose_b) {
   const std::size_t m = transpose_a ? a.cols() : a.rows();

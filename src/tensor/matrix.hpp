@@ -62,8 +62,6 @@ class Matrix {
   /// Copy of an arbitrary row subset (partial reconstruction, Sec. II-C).
   [[nodiscard]] Matrix row_subset(std::span<const std::size_t> rows) const;
 
-  [[nodiscard]] double frob_norm() const;
-
   /// this = A * B (convenience for tests and small host-side products).
   [[nodiscard]] static Matrix multiply(const Matrix& a, bool transpose_a,
                                        const Matrix& b, bool transpose_b);

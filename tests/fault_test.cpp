@@ -192,6 +192,22 @@ TEST(FaultInjection, EnospcFailsLoudly) {
   std::filesystem::remove(path);
 }
 
+TEST(FaultInjection, Ptt1WriteEnospcThrowsIoError) {
+  if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
+  const std::string path = temp_path("ptucker_fault_ptt1_enospc.ptt");
+  Tensor t(Dims{7, 5, 4});
+  t.fill_from(testing::splitmix_field(1901));
+  // Op 0 is the header write, op 1 the payload write.
+  for (const std::int64_t op : {0, 1}) {
+    pario::faults::FaultPlan plan;
+    plan.path_substr = "ptucker_fault_ptt1_enospc";
+    plan.enospc_at_op = op;
+    pario::faults::Guard guard(plan);
+    EXPECT_THROW(pario::save_tensor(path, t), IoError) << "op " << op;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(FaultInjection, InjectedBitFlipsRaiseChecksumErrorAcrossSeeds) {
   if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
   const std::string path = temp_path("ptucker_fault_bitflip.ptb");

@@ -149,40 +149,6 @@ TEST_P(Collectives, AllGatherVariableBlocks) {
   });
 }
 
-TEST_P(Collectives, ReduceScatterDeliversSummedBlocks) {
-  const int p = GetParam();
-  run_ranks(p, [&](mps::Comm& comm) {
-    std::vector<std::size_t> counts(static_cast<std::size_t>(p));
-    std::size_t total = 0;
-    for (int r = 0; r < p; ++r) {
-      counts[static_cast<std::size_t>(r)] = static_cast<std::size_t>(2 + (r % 3));
-      total += counts[static_cast<std::size_t>(r)];
-    }
-    const auto mine = payload_for(comm.rank(), total);
-    std::vector<double> out(counts[static_cast<std::size_t>(comm.rank())]);
-    mps::reduce_scatter(comm, std::span<const double>(mine),
-                        std::span<double>(out),
-                        std::span<const std::size_t>(counts));
-    // Reference: sum all payloads, slice my block.
-    std::vector<double> expected(total, 0.0);
-    for (int r = 0; r < p; ++r) {
-      const auto vr = payload_for(r, total);
-      for (std::size_t i = 0; i < total; ++i) expected[i] += vr[i];
-    }
-    std::size_t off = 0;
-    for (int r = 0; r < comm.rank(); ++r) {
-      off += counts[static_cast<std::size_t>(r)];
-    }
-    EXPECT_LT(
-        testing::max_diff(out.data(), expected.data() + off, out.size()),
-        1e-12);
-  });
-}
-
-/// The binomial-tree gather/scatter must deliver exactly the per-rank
-/// payloads for every P (incl. non-powers-of-two), the first and last root,
-/// and varied (including empty) per-rank payloads — the non-divisible-dims
-/// shapes the DistTensor layer produces.
 TEST_P(Collectives, GatherVariedMatchesPayloadsAtFirstAndLastRoot) {
   const int p = GetParam();
   for (int root = 0; root < p; root += std::max(1, p - 1)) {
@@ -394,37 +360,6 @@ TEST_P(Collectives, IAllGathervParityBitwiseRaggedCounts) {
   }
 }
 
-TEST_P(Collectives, IReduceScatterParityBitwiseRaggedCounts) {
-  const int p = GetParam();
-  // 2+(r%3) exercises ragged blocks; r%2 adds zero-length destinations.
-  for (const std::size_t mod : {std::size_t{0}, std::size_t{2}}) {
-    run_ranks(p, [&](mps::Comm& comm) {
-      std::vector<std::size_t> counts(static_cast<std::size_t>(p));
-      std::size_t total = 0;
-      for (int r = 0; r < p; ++r) {
-        const auto ur = static_cast<std::size_t>(r);
-        counts[ur] = mod == 0 ? 2 + ur % 3 : ur % mod;
-        total += counts[ur];
-      }
-      const auto mine = payload_for(comm.rank(), total);
-      const std::size_t mine_count =
-          counts[static_cast<std::size_t>(comm.rank())];
-      std::vector<double> oracle(mine_count);
-      std::vector<double> overlapped(mine_count);
-      mps::reduce_scatter(comm, std::span<const double>(mine),
-                          std::span<double>(oracle),
-                          std::span<const std::size_t>(counts));
-      mps::CollectiveHandle h = mps::ireduce_scatter(
-          comm, std::span<const double>(mine), std::span<double>(overlapped),
-          std::span<const std::size_t>(counts));
-      volatile double sink = local_compute(500);
-      (void)sink;
-      h.wait();
-      EXPECT_TRUE(bitwise_equal(overlapped, oracle)) << "mod " << mod;
-    });
-  }
-}
-
 /// Several collectives in flight on the same communicator, completed out of
 /// initiation order and polled with test() along the way — sub-tag isolation
 /// must keep their transfers from cross-matching.
@@ -495,28 +430,6 @@ TEST_P(Collectives, AllGatherWordCountMatchesRingModel) {
         << "rank " << r;
     EXPECT_EQ(rt.rank_stats(r).op_message_count(mps::OpKind::AllGather),
               static_cast<std::uint64_t>(model.messages));
-  }
-}
-
-TEST_P(Collectives, ReduceScatterWordCountMatchesRingModel) {
-  const int p = GetParam();
-  if (p == 1) GTEST_SKIP() << "no traffic for P=1";
-  const std::size_t block = 6;
-  mps::Runtime rt(p);
-  rt.run([&](mps::Comm& comm) {
-    std::vector<std::size_t> counts(static_cast<std::size_t>(p), block);
-    const auto mine =
-        payload_for(comm.rank(), block * static_cast<std::size_t>(p));
-    std::vector<double> out(block);
-    mps::reduce_scatter(comm, std::span<const double>(mine),
-                        std::span<double>(out),
-                        std::span<const std::size_t>(counts));
-  });
-  const auto model = costmodel::impl_reduce_scatter(
-      p, static_cast<double>(block) * static_cast<double>(p));
-  for (int r = 0; r < p; ++r) {
-    EXPECT_DOUBLE_EQ(rt.rank_stats(r).op_words(mps::OpKind::ReduceScatter),
-                     model.words);
   }
 }
 

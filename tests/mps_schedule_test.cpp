@@ -123,9 +123,10 @@ TEST(Schedule, ByteCountMismatchIsFlagged) {
 }
 
 TEST(Schedule, NestedCollectivesFingerprintOnlyTheOuterOp) {
-  // allreduce is built from reduce_scatter/allgatherv (or reduce+broadcast)
-  // internally; the fingerprint must record ONE allreduce, not its guts, so
-  // algorithm choice can't masquerade as divergence.
+  // allreduce is built from a ring reduce-scatter and all-gather (or
+  // reduce+broadcast) internally; the fingerprint must record ONE
+  // allreduce, not its guts, so algorithm choice can't masquerade as
+  // divergence.
   run_ranks(2, [](mps::Comm& comm) {
     double v = 1.0;
     v = mps::allreduce_scalar(comm, v);

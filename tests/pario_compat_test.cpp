@@ -1,9 +1,10 @@
 /// \file pario_compat_test.cpp
 /// \brief Container format compatibility, pinned by the checked-in fixtures
 /// in tests/data (see tests/data/README.md): version-1 PTB1/PTZ1/PTA1 files
-/// stay readable, bit-exactly, on any grid; version-1 archives refuse
-/// appends; and the writers still emit exactly the version-2 bytes of the
-/// fixtures written from the same seeded inputs.
+/// and the PTT1 file stay readable, bit-exactly, on any grid; version-1
+/// archives refuse appends; and the writers still emit exactly the
+/// version-2 (and PTT1) bytes of the fixtures written from the same seeded
+/// inputs.
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,10 @@ const std::vector<int> kWriteGrid{2, 1, 1};
 /// PTB1: a 7 x 5 x 4 tensor (mode 0 split 4 + 3 over kWriteGrid).
 const Dims kPtb1Dims{7, 5, 4};
 constexpr std::uint64_t kPtb1Seed = 1801;
+
+/// PTT1: a plain 7 x 5 x 4 tensor (one writer, no grid).
+const Dims kPtt1Dims{7, 5, 4};
+constexpr std::uint64_t kPtt1Seed = 1804;
 
 /// PTZ1: a 3 x 2 x 2 core with 7 x 3, 5 x 2 and 4 x 2 factors, plus
 /// per-species statistics over mode 2.
@@ -251,26 +256,39 @@ void expect_same_bytes(const std::string& got, const std::string& want) {
   }
 }
 
+/// Read the tensor fixture \p path on every read grid and compare it bit for
+/// bit with the splitmix field of \p seed; \p writer_grid is the grid its
+/// header records.
+void expect_tensor_fixture_reads(const std::string& path, const Dims& dims,
+                                 const std::vector<int>& writer_grid,
+                                 std::uint64_t seed) {
+  const pario::BlockFile file = pario::BlockFile::open(path);
+  EXPECT_EQ(file.dims(), dims);
+  EXPECT_EQ(file.grid_shape(), writer_grid);
+  for (const std::vector<int>& shape : kReadGrids) {
+    run_ranks(ranks_of(shape), [&](mps::Comm& comm) {
+      auto grid = dist::make_grid(comm, shape);
+      const DistTensor y = pario::read_dist_tensor(grid, path);
+      DistTensor expect(grid, dims);
+      expect.fill_global(testing::splitmix_field(seed));
+      EXPECT_TRUE(bit_equal(y.local(), expect.local()))
+          << path << " on grid " << testing::shape_name(shape) << " rank "
+          << comm.rank();
+    });
+  }
+}
+
 TEST(Compat, Ptb1FixturesReadBitExactOnEveryGrid) {
   for (const std::uint64_t version : {1u, 2u}) {
     const std::string path =
         fixture("ptb1_v" + std::to_string(version) + ".ptb");
     ASSERT_EQ(version_word(path), version) << path;
-    const pario::BlockFile file = pario::BlockFile::open(path);
-    EXPECT_EQ(file.dims(), compat::kPtb1Dims);
-    EXPECT_EQ(file.grid_shape(), compat::kWriteGrid);
-    for (const std::vector<int>& shape : kReadGrids) {
-      run_ranks(ranks_of(shape), [&](mps::Comm& comm) {
-        auto grid = dist::make_grid(comm, shape);
-        const DistTensor y = pario::read_dist_tensor(grid, path);
-        DistTensor expect(grid, compat::kPtb1Dims);
-        expect.fill_global(testing::splitmix_field(compat::kPtb1Seed));
-        EXPECT_TRUE(bit_equal(y.local(), expect.local()))
-            << path << " on grid " << testing::shape_name(shape) << " rank "
-            << comm.rank();
-      });
-    }
+    expect_tensor_fixture_reads(path, compat::kPtb1Dims, compat::kWriteGrid,
+                                compat::kPtb1Seed);
   }
+  // PTT1 reads as a one-block PTB1 through the same reader.
+  expect_tensor_fixture_reads(fixture("ptt1.ptt"), compat::kPtt1Dims,
+                              {1, 1, 1}, compat::kPtt1Seed);
 }
 
 TEST(Compat, Ptz1FixturesReadBitExactWithStats) {
@@ -451,12 +469,17 @@ TEST(Compat, WritersByteMatchVersionTwoFixtures) {
   const std::string ptb = temp_path("ptucker_compat_out.ptb");
   const std::string ptz = temp_path("ptucker_compat_out.ptz");
   const std::string pta = temp_path("ptucker_compat_out.pta");
+  const std::string ptt = temp_path("ptucker_compat_out.ptt");
   run_ranks(2, [&](mps::Comm& comm) {
     write_fixture_inputs(comm, ptb, ptz, pta);
   });
+  Tensor t(compat::kPtt1Dims);
+  t.fill_from(testing::splitmix_field(compat::kPtt1Seed));
+  pario::save_tensor(ptt, t);
   expect_same_bytes(ptb, fixture("ptb1_v2.ptb"));
   expect_same_bytes(ptz, fixture("ptz1_v2_stats.ptz"));
   expect_same_bytes(pta, fixture("pta1_v2_chain.pta"));
+  expect_same_bytes(ptt, fixture("ptt1.ptt"));
   // The size helpers describe what the writers emit.
   EXPECT_EQ(std::filesystem::file_size(ptb),
             pario::ptb1_file_bytes(compat::kPtb1Dims, compat::kWriteGrid));
@@ -470,6 +493,7 @@ TEST(Compat, WritersByteMatchVersionTwoFixtures) {
   std::filesystem::remove(ptb);
   std::filesystem::remove(ptz);
   std::filesystem::remove(pta);
+  std::filesystem::remove(ptt);
 }
 
 }  // namespace

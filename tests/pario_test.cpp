@@ -10,7 +10,6 @@
 #include "dist/grid.hpp"
 #include "pario/block_file.hpp"
 #include "pario/model_io.hpp"
-#include "tensor/tensor_io.hpp"
 #include "test_utils.hpp"
 
 namespace ptucker {
@@ -115,7 +114,7 @@ TEST(ParIo, ReadsLegacyPtt1FilesBlockParallel) {
   const Dims dims{8, 6, 5};
   Tensor global(dims);
   global.fill_from(testing::splitmix_field(5));
-  tensor::save_tensor(path, global);
+  pario::save_tensor(path, global);
   mps::Runtime rt(4);
   std::vector<std::shared_ptr<mps::CartGrid>> grids(4);
   rt.run([&](mps::Comm& comm) {
@@ -211,6 +210,32 @@ TEST(ParIo, RejectsTruncatedAndCorruptFiles) {
 
   EXPECT_THROW((void)pario::BlockFile::open(temp_path("ptucker_missing.ptb")),
                InvalidArgument);
+
+  // PTT1: "PTT1" | u64 order (byte 4) | u64 dims (from byte 12) | payload.
+  // Each corruption is rejected by open(), before any payload is sized or
+  // allocated.
+  const std::string ptt = temp_path("ptucker_ptt_corrupt.ptt");
+  const auto write_u64_at = [&](std::uint64_t offset, std::uint64_t v) {
+    std::fstream fs(ptt, std::ios::binary | std::ios::in | std::ios::out);
+    fs.seekp(static_cast<std::streamoff>(offset));
+    fs.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  Tensor t(Dims{6, 5});
+  t.fill_from(testing::splitmix_field(4));
+  pario::save_tensor(ptt, t);
+  write_u64_at(12, 1ull << 62);  // absurd dims[0]
+  EXPECT_THROW((void)pario::BlockFile::open(ptt), InvalidArgument);
+  for (const std::uint64_t bad_order :
+       {std::uint64_t{0}, pario::detail::kMaxOrder + 1}) {
+    pario::save_tensor(ptt, t);
+    write_u64_at(4, bad_order);
+    EXPECT_THROW((void)pario::BlockFile::open(ptt), InvalidArgument)
+        << "order " << bad_order;
+  }
+  pario::save_tensor(ptt, t);
+  std::filesystem::resize_file(ptt, std::filesystem::file_size(ptt) - 8);
+  EXPECT_THROW((void)pario::BlockFile::open(ptt), InvalidArgument);
+  std::filesystem::remove(ptt);
 }
 
 TEST(ParIo, ReadIntoRejectsMismatchedDestination) {
@@ -219,7 +244,7 @@ TEST(ParIo, ReadIntoRejectsMismatchedDestination) {
   const Dims dims{4, 5, 3};
   Tensor t(dims);
   t.fill_from(testing::splitmix_field(12));
-  tensor::save_tensor(path, t);
+  pario::save_tensor(path, t);
   const pario::File file = pario::File::open_read(path);
   const std::vector<int> grid{1, 1, 1};
   const std::vector<std::uint64_t> offsets{4 + 8 * (1 + dims.size())};

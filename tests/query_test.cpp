@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "core/query.hpp"
 #include "core/reconstruct.hpp"
 #include "core/seq/seq_tucker.hpp"
 #include "core/st_hosvd.hpp"
@@ -17,7 +16,6 @@
 namespace ptucker {
 namespace {
 
-using core::CompressedQuery;
 using core::TuckerTensor;
 using dist::DistTensor;
 using tensor::Dims;
@@ -32,19 +30,32 @@ TuckerTensor make_model(std::shared_ptr<mps::CartGrid> grid, const Dims& dims,
   return core::st_hosvd(x, opts).tucker;
 }
 
+/// The box \p ranges of the model held as a local \p core and \p factors.
+Tensor box(const Tensor& core, const std::vector<tensor::Matrix>& factors,
+           const std::vector<util::Range>& ranges) {
+  return core::reconstruct_range_local(
+      core, std::span<const tensor::Matrix>(factors), ranges);
+}
+
+// The point and fiber queries the serve layer answers are boxes of
+// core::reconstruct_range_local: an element is a one-wide box, a fiber a
+// box that spans one mode.
 TEST(Query, ElementMatchesReconstruction) {
   run_ranks(4, [](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {2, 2, 1});
     const Dims dims{9, 8, 7};
     const TuckerTensor model = make_model(grid, dims, Dims{3, 3, 2}, 3);
-    const CompressedQuery query(model);
+    const Tensor core = model.core.gather(0);
     const Tensor full = core::reconstruct(model).gather(0);
     if (comm.rank() == 0) {
       for (std::size_t i = 0; i < 9; i += 2) {
         for (std::size_t j = 0; j < 8; j += 3) {
           for (std::size_t k = 0; k < 7; k += 2) {
+            const Tensor got =
+                box(core, model.factors, {{i, i + 1}, {j, j + 1}, {k, k + 1}});
+            ASSERT_EQ(got.dims(), (Dims{1, 1, 1}));
             const std::size_t idx[] = {i, j, k};
-            EXPECT_NEAR(query.element(idx), full.at(idx), 1e-11)
+            EXPECT_NEAR(got[0], full.at(idx), 1e-11)
                 << "(" << i << "," << j << "," << k << ")";
           }
         }
@@ -53,38 +64,23 @@ TEST(Query, ElementMatchesReconstruction) {
   });
 }
 
-TEST(Query, EveryRankCanAnswerIdentically) {
-  // After construction the query is communication-free and replicated.
-  const int p = 4;
-  std::vector<double> answers(static_cast<std::size_t>(p));
-  run_ranks(p, [&](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, {2, 2});
-    const TuckerTensor model =
-        make_model(grid, Dims{10, 8}, Dims{3, 2}, 5);
-    const CompressedQuery query(model);
-    const std::size_t idx[] = {7, 3};
-    answers[static_cast<std::size_t>(comm.rank())] = query.element(idx);
-  });
-  for (int r = 1; r < p; ++r) {
-    EXPECT_EQ(answers[0], answers[static_cast<std::size_t>(r)]);
-  }
-}
-
 TEST(Query, FiberMatchesReconstructionColumn) {
-  run_ranks(2, [](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, {2, 1, 1});
-    const Dims dims{8, 7, 6};
-    const TuckerTensor model = make_model(grid, dims, Dims{3, 2, 2}, 7);
-    const CompressedQuery query(model);
+  run_ranks(4, [](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {2, 2, 1});
+    const Dims dims{9, 8, 7};
+    const TuckerTensor model = make_model(grid, dims, Dims{3, 3, 2}, 3);
+    const Tensor core = model.core.gather(0);
     const Tensor full = core::reconstruct(model).gather(0);
     if (comm.rank() == 0) {
       for (int mode = 0; mode < 3; ++mode) {
-        const std::size_t idx[] = {2, 4, 1};
-        const auto fiber = query.fiber(mode, idx);
-        ASSERT_EQ(fiber.size(), dims[static_cast<std::size_t>(mode)]);
+        const auto um = static_cast<std::size_t>(mode);
         std::size_t probe[] = {2, 4, 1};
+        std::vector<util::Range> ranges{{2, 3}, {4, 5}, {1, 2}};
+        ranges[um] = {0, dims[um]};
+        const Tensor fiber = box(core, model.factors, ranges);
+        ASSERT_EQ(fiber.size(), dims[um]);
         for (std::size_t i = 0; i < fiber.size(); ++i) {
-          probe[static_cast<std::size_t>(mode)] = i;
+          probe[um] = i;
           EXPECT_NEAR(fiber[i], full.at(probe), 1e-11)
               << "mode " << mode << " position " << i;
         }
@@ -93,51 +89,55 @@ TEST(Query, FiberMatchesReconstructionColumn) {
   });
 }
 
-TEST(Query, LocalConstructorWorksWithoutCommunication) {
+TEST(Query, LocalModelMatchesData) {
   const Tensor x = data::make_low_rank_seq(Dims{8, 8, 8}, Dims{2, 2, 2}, 9);
   core::seq::SeqOptions opts;
   opts.epsilon = 1e-6;
   const auto result = core::seq::seq_st_hosvd(x, opts);
-  const CompressedQuery query(result.tucker.core, result.tucker.factors);
+  const Tensor got =
+      box(result.tucker.core, result.tucker.factors, {{3, 4}, {5, 6}, {2, 3}});
   const std::size_t idx[] = {3, 5, 2};
-  EXPECT_NEAR(query.element(idx), x.at(idx), 1e-8);
+  EXPECT_NEAR(got[0], x.at(idx), 1e-8);
 }
 
-TEST(Query, RejectsOutOfRangeIndex) {
-  const Tensor x = data::make_low_rank_seq(Dims{6, 6}, Dims{2, 2}, 11);
-  core::seq::SeqOptions opts;
-  const auto result = core::seq::seq_st_hosvd(x, opts);
-  const CompressedQuery query(result.tucker.core, result.tucker.factors);
-  const std::size_t bad[] = {6, 0};
-  EXPECT_THROW((void)query.element(bad), InvalidArgument);
+TEST(Query, RejectsOutOfRangeAndEmptyRanges) {
+  const Tensor x = data::make_low_rank_seq(Dims{6, 5}, Dims{2, 2}, 11);
+  const auto result = core::seq::seq_st_hosvd(x, {});
+  const Tensor& core = result.tucker.core;
+  const auto& factors = result.tucker.factors;
+  EXPECT_THROW((void)box(core, factors, {{6, 7}, {0, 1}}), InvalidArgument);
+  EXPECT_THROW((void)box(core, factors, {{0, 7}, {0, 1}}), InvalidArgument);
+  EXPECT_THROW((void)box(core, factors, {{2, 3}, {0, 6}}), InvalidArgument);
+  EXPECT_THROW((void)box(core, factors, {{2, 2}, {0, 1}}), InvalidArgument);
+  EXPECT_THROW((void)box(core, factors, {{3, 2}, {0, 1}}), InvalidArgument);
+  EXPECT_NO_THROW((void)box(core, factors, {{5, 6}, {4, 5}}));
 }
 
-TEST(Query, RejectsWrongIndexArity) {
+TEST(Query, RejectsWrongRangeCount) {
   const Tensor x = data::make_low_rank_seq(Dims{6, 6}, Dims{2, 2}, 13);
-  core::seq::SeqOptions opts;
-  const auto result = core::seq::seq_st_hosvd(x, opts);
-  const CompressedQuery query(result.tucker.core, result.tucker.factors);
-  const std::size_t one[] = {3};
-  const std::size_t three[] = {3, 3, 3};
-  EXPECT_THROW((void)query.element(one), InvalidArgument);
-  EXPECT_THROW((void)query.element(three), InvalidArgument);
-  EXPECT_THROW((void)query.fiber(0, one), InvalidArgument);
+  const auto result = core::seq::seq_st_hosvd(x, {});
+  const Tensor& core = result.tucker.core;
+  const auto& factors = result.tucker.factors;
+  EXPECT_THROW((void)box(core, factors, {{3, 4}}), InvalidArgument);
+  EXPECT_THROW((void)box(core, factors, {{3, 4}, {3, 4}, {3, 4}}),
+               InvalidArgument);
 }
 
-TEST(Query, RejectsOutOfRangeFiberModeAndIndex) {
+TEST(Query, RejectsFactorCoreRankMismatch) {
   const Tensor x = data::make_low_rank_seq(Dims{6, 5}, Dims{2, 2}, 17);
   core::seq::SeqOptions opts;
+  opts.fixed_ranks = {2, 2};
   const auto result = core::seq::seq_st_hosvd(x, opts);
-  const CompressedQuery query(result.tucker.core, result.tucker.factors);
-  const std::size_t idx[] = {2, 2};
-  EXPECT_THROW((void)query.fiber(-1, idx), InvalidArgument);
-  EXPECT_THROW((void)query.fiber(2, idx), InvalidArgument);
-  // A component out of range throws even when it names the fiber mode the
-  // query would skip — garbage indices never silently "work".
-  const std::size_t bad_other[] = {2, 5};
-  EXPECT_THROW((void)query.fiber(0, bad_other), InvalidArgument);
-  const std::size_t bad_skipped[] = {6, 2};
-  EXPECT_THROW((void)query.fiber(0, bad_skipped), InvalidArgument);
+  const std::vector<util::Range> ranges{{0, 1}, {0, 1}};
+  // A factor with one column too many for the core's mode-1 extent.
+  std::vector<tensor::Matrix> factors = result.tucker.factors;
+  factors[1] = tensor::Matrix(5, 3);
+  EXPECT_THROW((void)box(result.tucker.core, factors, ranges),
+               InvalidArgument);
+  // One factor too few for the order-2 core.
+  factors = {result.tucker.factors[0]};
+  EXPECT_THROW((void)box(result.tucker.core, factors, {{0, 1}}),
+               InvalidArgument);
 }
 
 /// Archive fixture for the time-range query tests: two 2-step windows of

@@ -51,20 +51,7 @@ TEST(SeqSthosvd, SvdQrMethodAgreesWithGramRoute) {
   EXPECT_NEAR(err_a, err_b, 1e-7);
 }
 
-TEST(SeqHooi, ImprovesOrMatchesInitialization) {
-  const Tensor x =
-      data::make_low_rank_seq(Dims{9, 8, 7}, Dims{4, 4, 3}, 9, 0.3);
-  SeqOptions init;
-  init.fixed_ranks = {2, 2, 2};
-  const auto result = core::seq::seq_hooi(x, init, 5, 0.0);
-  ASSERT_GE(result.error_history.size(), 2u);
-  EXPECT_LE(result.error_history.back(), result.error_history.front() + 1e-12);
-  for (std::size_t i = 1; i < result.error_history.size(); ++i) {
-    EXPECT_LE(result.error_history[i], result.error_history[i - 1] + 1e-10);
-  }
-}
-
-TEST(SeqHooi, CompressionRatioReported) {
+TEST(SeqSthosvd, CompressionRatioReported) {
   const Tensor x =
       data::make_low_rank_seq(Dims{10, 10, 10}, Dims{2, 2, 2}, 11);
   SeqOptions opts;
