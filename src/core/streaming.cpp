@@ -163,8 +163,7 @@ StreamingReconstructor::StreamingReconstructor(const std::string& archive_path)
 
 dist::DistTensor StreamingReconstructor::reconstruct_steps(
     std::shared_ptr<mps::CartGrid> grid, std::uint64_t step_lo,
-    std::uint64_t step_hi, std::vector<util::Range> spatial,
-    bool denormalize) const {
+    std::uint64_t step_hi, std::vector<util::Range> spatial) const {
   PT_REQUIRE(grid != nullptr, "reconstruct_steps: null grid");
   const tensor::Dims& sdims = archive_.step_dims();
   const std::size_t sorder = sdims.size();
@@ -211,7 +210,7 @@ dist::DistTensor StreamingReconstructor::reconstruct_steps(
     ranges.push_back({static_cast<std::size_t>(glo - ent.step_first),
                       static_cast<std::size_t>(ghi - ent.step_first)});
     dist::DistTensor part = reconstruct_range(model, ranges);
-    if (md.has_stats && denormalize) {
+    if (md.has_stats) {
       PT_REQUIRE(md.stats.species_mode < static_cast<int>(sorder),
                  "reconstruct_steps: archived stats name a non-spatial "
                  "species mode");

@@ -148,12 +148,11 @@ class StreamingReconstructor {
   /// extent must be 1 so stitching entry outputs along time stays local —
   /// the archive read path moves zero words between ranks (the TTM chains
   /// inside reconstruction are the only communication). When an entry
-  /// archived normalization stats and \p denormalize is set, physical
-  /// values are restored per window.
+  /// archived normalization stats, physical values are restored per
+  /// window.
   [[nodiscard]] dist::DistTensor reconstruct_steps(
       std::shared_ptr<mps::CartGrid> grid, std::uint64_t step_lo,
-      std::uint64_t step_hi, std::vector<util::Range> spatial = {},
-      bool denormalize = true) const;
+      std::uint64_t step_hi, std::vector<util::Range> spatial = {}) const;
 
  private:
   pario::ArchiveReader archive_;

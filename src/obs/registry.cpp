@@ -143,49 +143,6 @@ std::string Snapshot::to_text() const {
   return os.str();
 }
 
-namespace {
-void append_json_string(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-}  // namespace
-
-std::string Snapshot::to_json() const {
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    if (!first) os << ",";
-    first = false;
-    append_json_string(os, name);
-    os << ":" << v;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    if (!first) os << ",";
-    first = false;
-    append_json_string(os, name);
-    os << ":" << v;
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    if (!first) os << ",";
-    first = false;
-    append_json_string(os, name);
-    os << ":{\"count\":" << h.count << ",\"sum\":" << h.sum
-       << ",\"min\":" << h.min << ",\"max\":" << h.max << ",\"p50\":" << h.p50
-       << ",\"p90\":" << h.p90 << ",\"p99\":" << h.p99 << "}";
-  }
-  os << "}}";
-  return os.str();
-}
-
 Registry& registry() {
   static Registry* instance = new Registry;
   return *instance;

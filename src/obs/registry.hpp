@@ -253,8 +253,6 @@ struct Snapshot {
 
   /// "name value" lines, sorted, histograms expanded to count/p50/p90/p99.
   [[nodiscard]] std::string to_text() const;
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// The process-wide registry. Metric names are dotted paths; requesting an

@@ -41,22 +41,19 @@ TimestepReader::TimestepReader(std::string dir, std::size_t max_cached_files)
 
 TimestepReader::~TimestepReader() = default;
 
-namespace {
+namespace detail {
 
-/// stat result condensed to the fields the stale-cache check compares. The
-/// check is only as fine as the filesystem's mtime granularity: an
-/// in-place rewrite that keeps the size and lands within one timestamp
-/// tick of the cached parse is indistinguishable (replace-by-rename — the
-/// robust solver-side pattern — always changes the inode and is caught).
-detail::StepFileSig sig_of(const struct stat& st) {
-  return {static_cast<std::uint64_t>(st.st_dev),
-          static_cast<std::uint64_t>(st.st_ino),
-          static_cast<std::uint64_t>(st.st_size),
-          static_cast<std::int64_t>(st.st_mtim.tv_sec),
-          static_cast<std::int64_t>(st.st_mtim.tv_nsec)};
+std::optional<StepFileSig> stat_sig(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
+  return StepFileSig{static_cast<std::uint64_t>(st.st_dev),
+                     static_cast<std::uint64_t>(st.st_ino),
+                     static_cast<std::uint64_t>(st.st_size),
+                     static_cast<std::int64_t>(st.st_mtim.tv_sec),
+                     static_cast<std::int64_t>(st.st_mtim.tv_nsec)};
 }
 
-}  // namespace
+}  // namespace detail
 
 std::shared_ptr<const BlockFile> TimestepReader::step_file(
     std::size_t t) const {
@@ -65,8 +62,7 @@ std::shared_ptr<const BlockFile> TimestepReader::step_file(
   // Revalidation stat happens before taking the lock, so concurrent hits
   // are not serialized behind each other's filesystem metadata round-trip
   // (the same reason the miss path opens with the lock dropped).
-  struct stat st {};
-  const bool alive = ::stat(paths_[t].c_str(), &st) == 0;
+  const std::optional<detail::StepFileSig> sig = detail::stat_sig(paths_[t]);
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     const auto hit = cache_.find(t);
@@ -74,7 +70,7 @@ std::shared_ptr<const BlockFile> TimestepReader::step_file(
       // Revalidate before serving: a step file rewritten (or replaced by
       // rename) since it was parsed must not be read through the stale
       // header — the in-situ case where the solver is still producing.
-      if (alive && sig_of(st) == hit->second->sig) {
+      if (sig == hit->second->sig) {
         lru_.splice(lru_.begin(), lru_, hit->second);  // bump to front
         return hit->second->file;
       }
@@ -86,8 +82,7 @@ std::shared_ptr<const BlockFile> TimestepReader::step_file(
   // steps are not serialized behind this step's disk I/O. Another thread
   // may race us to the same step; re-check before inserting and keep its
   // entry (one redundant open, counted, then discarded).
-  PT_REQUIRE(alive, "TimestepReader: cannot stat " << paths_[t]);
-  const detail::StepFileSig sig = sig_of(st);
+  PT_REQUIRE(sig.has_value(), "TimestepReader: cannot stat " << paths_[t]);
   auto file = std::make_shared<const BlockFile>(BlockFile::open(paths_[t]));
   // Every step — at scan time and on any later re-open (a file rewritten
   // under a live reader) — must match the dims of the first step.
@@ -101,7 +96,7 @@ std::shared_ptr<const BlockFile> TimestepReader::step_file(
     lru_.splice(lru_.begin(), lru_, hit->second);
     return hit->second->file;
   }
-  lru_.push_front(CacheEntry{t, file, sig});
+  lru_.push_front(CacheEntry{t, file, *sig});
   cache_[t] = lru_.begin();
   while (lru_.size() > max_cached_) {
     cache_.erase(lru_.back().step);

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -50,6 +51,14 @@ struct StepFileSig {
   std::int64_t mtime_nsec = 0;
   bool operator==(const StepFileSig&) const = default;
 };
+
+/// stat() of \p path condensed to its signature; nullopt when the file
+/// cannot be stat'ed. The check is only as fine as the filesystem's mtime
+/// granularity: an in-place rewrite that keeps the size and lands within
+/// one timestamp tick of the recorded stat is indistinguishable
+/// (replace-by-rename — the robust producer-side pattern — always changes
+/// the inode and is caught).
+[[nodiscard]] std::optional<StepFileSig> stat_sig(const std::string& path);
 }  // namespace detail
 
 class TimestepReader {

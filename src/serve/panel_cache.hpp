@@ -1,17 +1,14 @@
 #pragma once
 /// \file panel_cache.hpp
-/// \brief Sharded LRU cache of decompressed archive-entry panels (core +
-/// factors + stats) for the query server: many concurrent queries over the
-/// same hot windows decompress each window's model once, not once per
-/// query.
+/// \brief LRU cache of decompressed archive-entry panels (core + factors +
+/// stats) for the query server: many concurrent queries over the same hot
+/// windows decompress each window's model once, not once per query.
 ///
-/// The design follows the TimestepReader LRU (pario/timestep_reader.hpp)
-/// scaled out for server concurrency: the key space is split over
-/// independently locked shards so queries against different windows never
-/// contend on one mutex, and the loader runs with no lock held so a miss's
-/// disk I/O never blocks hits on other keys in the same shard. Two threads
-/// racing to load the same key both load; the first insert wins and the
-/// loser adopts it (one redundant read, no torn state) — the same policy
+/// The design follows the TimestepReader LRU (pario/timestep_reader.hpp):
+/// one mutex guards the recency list, and the loader runs with no lock held
+/// so a miss's disk I/O never blocks hits on other keys. Two threads racing
+/// to load the same key both load; the first insert wins and the loser
+/// adopts it (one redundant read, no torn state) — the same policy
 /// TimestepReader::step_file uses.
 ///
 /// Keys carry the owning archive's revalidation generation: when the server
@@ -67,10 +64,8 @@ struct CacheCounters {
 
 class PanelCache {
  public:
-  /// \p capacity panels total, spread over min(\p shards, capacity)
-  /// independently locked shards (both >= 1). Shards that come first get
-  /// the remainder panels, so every shard holds at least one.
-  PanelCache(std::size_t capacity, std::size_t shards);
+  /// At most \p capacity (>= 1) panels resident.
+  explicit PanelCache(std::size_t capacity);
 
   using Loader = std::function<std::shared_ptr<const EntryPanels>()>;
 
@@ -85,18 +80,11 @@ class PanelCache {
   void erase_archive(std::size_t archive);
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// Shard a key maps to: (archive + entry) mod shards, so consecutive
-  /// entries of one archive round-robin over the shards. Deterministic and
-  /// exposed for tests.
-  [[nodiscard]] std::size_t shard_of(const PanelKey& key) const;
-  /// Panels currently resident (sums the shards; a racing insert may make
-  /// consecutive calls disagree, which is fine for observability).
+  /// Panels currently resident.
   [[nodiscard]] std::size_t size() const;
-  /// Aggregated counters over all shards.
   [[nodiscard]] CacheCounters counters() const;
-  /// Resident keys of one shard, most recently used first (tests only).
-  [[nodiscard]] std::vector<PanelKey> shard_keys(std::size_t shard) const;
+  /// Resident keys, most recently used first (tests only).
+  [[nodiscard]] std::vector<PanelKey> keys() const;
 
  private:
   struct KeyHash {
@@ -106,17 +94,13 @@ class PanelCache {
       return h * 1000003u ^ std::hash<std::size_t>{}(k.entry);
     }
   };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::size_t capacity = 0;
-    /// Front = most recently used.
-    std::list<std::pair<PanelKey, std::shared_ptr<const EntryPanels>>> lru;
-    std::unordered_map<PanelKey, decltype(lru)::iterator, KeyHash> index;
-    CacheCounters counters;
-  };
 
   std::size_t capacity_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;  ///< guards lru_, index_ and counters_
+  /// Front = most recently used.
+  std::list<std::pair<PanelKey, std::shared_ptr<const EntryPanels>>> lru_;
+  std::unordered_map<PanelKey, decltype(lru_)::iterator, KeyHash> index_;
+  CacheCounters counters_;
 };
 
 }  // namespace ptucker::serve

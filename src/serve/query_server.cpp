@@ -1,7 +1,5 @@
 #include "serve/query_server.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -43,16 +41,6 @@ std::uint64_t us_between(std::chrono::steady_clock::time_point t0,
           .count());
 }
 
-/// stat result condensed exactly as the TimestepReader stale-file check
-/// does (see timestep_reader.cpp): identity + size + mtime.
-pario::detail::StepFileSig sig_of(const struct stat& st) {
-  return {static_cast<std::uint64_t>(st.st_dev),
-          static_cast<std::uint64_t>(st.st_ino),
-          static_cast<std::uint64_t>(st.st_size),
-          static_cast<std::int64_t>(st.st_mtim.tv_sec),
-          static_cast<std::int64_t>(st.st_mtim.tv_nsec)};
-}
-
 /// True when \p fresh is \p old with zero or more entries appended: every
 /// old entry is unchanged (same window, same blob bytes). Anything else —
 /// fewer entries, a moved blob, a re-windowed entry — is a rewrite.
@@ -74,26 +62,23 @@ bool entries_extend(const std::vector<pario::ArchiveEntry>& old_entries,
 
 QueryServer::QueryServer(std::vector<std::string> archive_paths,
                          ServerOptions options)
-    : opts_(options),
-      cache_(opts_.cache_capacity, opts_.cache_shards) {
+    : cache_(options.cache_capacity) {
   PT_REQUIRE(!archive_paths.empty(), "QueryServer: no archives given");
-  PT_REQUIRE(opts_.executor_threads == 0 || opts_.queue_depth >= 1,
-             "QueryServer: queue depth < 1");
   archives_.reserve(archive_paths.size());
   for (std::string& path : archive_paths) {
     auto st = std::make_unique<ArchiveState>();
     st->path = std::move(path);
     // Signature before parse: anything that changes the file after this
     // stat is caught by the next revalidation, never missed.
-    struct stat fs {};
-    PT_REQUIRE(::stat(st->path.c_str(), &fs) == 0,
-               "QueryServer: cannot stat " << st->path);
-    st->sig = sig_of(fs);
+    const std::optional<pario::detail::StepFileSig> sig =
+        pario::detail::stat_sig(st->path);
+    PT_REQUIRE(sig.has_value(), "QueryServer: cannot stat " << st->path);
+    st->sig = *sig;
     st->reader = std::make_shared<const pario::ArchiveReader>(st->path);
     archives_.push_back(std::move(st));
   }
-  workers_.reserve(opts_.executor_threads);
-  for (std::size_t i = 0; i < opts_.executor_threads; ++i) {
+  workers_.reserve(options.executor_threads);
+  for (std::size_t i = 0; i < options.executor_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -114,18 +99,13 @@ QueryServer::Snapshot QueryServer::snapshot(std::size_t a) const {
   PT_REQUIRE(a < archives_.size(),
              "serve: archive " << a << " out of range");
   ArchiveState& st = *archives_[a];
-  if (!opts_.revalidate) {
-    std::lock_guard<std::mutex> lock(st.mutex);
-    return {st.reader, st.generation};
-  }
   // Stat outside the lock so concurrent queries on the same (unchanged)
   // archive are not serialized behind each other's metadata round-trip.
-  struct stat fs {};
-  PT_REQUIRE(::stat(st.path.c_str(), &fs) == 0,
-             "serve: cannot stat " << st.path);
-  const pario::detail::StepFileSig sig = sig_of(fs);
+  const std::optional<pario::detail::StepFileSig> sig =
+      pario::detail::stat_sig(st.path);
+  PT_REQUIRE(sig.has_value(), "serve: cannot stat " << st.path);
   std::lock_guard<std::mutex> lock(st.mutex);
-  if (sig == st.sig) return {st.reader, st.generation};
+  if (*sig == st.sig) return {st.reader, st.generation};
   // The file changed since the current reader parsed it. Re-open, then
   // decide: a pure append (same inode, grown, every old entry intact) is
   // adopted in place with the cached panels kept — their keys still name
@@ -137,8 +117,8 @@ QueryServer::Snapshot QueryServer::snapshot(std::size_t a) const {
   PT_REQUIRE(fresh->step_dims() == st.reader->step_dims(),
              "serve: " << st.path
                        << " step dims changed under the server");
-  const bool append = sig.dev == st.sig.dev && sig.ino == st.sig.ino &&
-                      sig.size > st.sig.size &&
+  const bool append = sig->dev == st.sig.dev && sig->ino == st.sig.ino &&
+                      sig->size > st.sig.size &&
                       entries_extend(st.reader->entries(), fresh->entries());
   if (!append) {
     ++st.generation;
@@ -148,7 +128,7 @@ QueryServer::Snapshot QueryServer::snapshot(std::size_t a) const {
     st.poisoned.clear();
   }
   st.reader = std::move(fresh);
-  st.sig = sig;
+  st.sig = *sig;
   return {st.reader, st.generation};
 }
 
@@ -169,44 +149,11 @@ std::uint64_t QueryServer::generation(std::size_t a) const {
   return snapshot(a).generation;
 }
 
-tensor::Tensor QueryServer::evaluate(const Request& req) const {
-  return evaluate(req, nullptr);
-}
-
 tensor::Tensor QueryServer::evaluate(const Request& req,
                                      QueryTrace* qt) const {
-  return evaluate(req, qt, std::chrono::steady_clock::now());
-}
-
-tensor::Tensor QueryServer::evaluate(
-    const Request& req, QueryTrace* qt,
-    std::chrono::steady_clock::time_point anchor) const {
   using clock = std::chrono::steady_clock;
   const clock::time_point t_begin = clock::now();
   obs::Span span_query("serve.query");
-
-  // Deadline checkpoints sit between stages (never mid-read), so an answer
-  // is either complete or DeadlineExceeded — no partial results. The anchor
-  // is submit() time for executor queries: a query that starved in the
-  // queue fails fast instead of occupying a worker past its deadline.
-  const std::uint64_t ddl_ms =
-      req.deadline_ms != 0 ? req.deadline_ms : opts_.default_deadline_ms;
-  const clock::time_point ddl = anchor + std::chrono::milliseconds(ddl_ms);
-  const auto check_deadline = [&](const char* stage) {
-    if (ddl_ms == 0) return;
-    const clock::time_point now = clock::now();
-    if (now < ddl) return;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      ++exec_counters_.deadline_misses;
-    }
-    std::ostringstream os;
-    os << "serve: deadline of " << ddl_ms << " ms exceeded at stage '"
-       << stage << "' (" << us_between(anchor, now)
-       << " us since submission)";
-    throw DeadlineExceeded(os.str());
-  };
-  check_deadline("admit");
 
   const Snapshot snap = snapshot(req.archive);
   const pario::ArchiveReader& ar = *snap.reader;
@@ -247,7 +194,6 @@ tensor::Tensor QueryServer::evaluate(
 
   for (std::size_t e : hits) {
     obs::Span span_entry("serve.entry", static_cast<std::int64_t>(e));
-    check_deadline("entry");
     {
       // Quarantine gate: an entry whose load already failed poisons only
       // itself — queries touching it fail fast with the original failure
@@ -288,8 +234,7 @@ tensor::Tensor QueryServer::evaluate(
     } catch (const Error& err) {
       // The entry's bytes are bad (checksum mismatch, I/O giveup,
       // malformed blob): quarantine it so later queries fail fast instead
-      // of re-reading known-bad data. Deadline misses never land here —
-      // check_deadline only fires outside the loader.
+      // of re-reading known-bad data.
       ArchiveState& ast = *archives_[req.archive];
       bool fresh = false;
       {
@@ -299,7 +244,6 @@ tensor::Tensor QueryServer::evaluate(
       if (fresh) serve_metrics().quarantines.inc();
       throw;
     }
-    check_deadline("load");
     if (qt != nullptr) {
       // A racing thread's insert still counts as this query's miss: the
       // loader ran (or didn't) on this thread, which is what load_us times.
@@ -328,7 +272,7 @@ tensor::Tensor QueryServer::evaluate(
     }
     const clock::time_point t_denorm = clock::now();
     if (qt != nullptr) qt->reconstruct_us += us_between(t_recon, t_denorm);
-    if (panels->has_stats && opts_.denormalize) {
+    if (panels->has_stats) {
       obs::Span span_denorm("serve.denormalize",
                             static_cast<std::int64_t>(e));
       PT_REQUIRE(panels->stats.species_mode >= 0 &&
@@ -360,7 +304,7 @@ tensor::Tensor QueryServer::evaluate(
 }
 
 tensor::Tensor QueryServer::subtensor(const Request& req) const {
-  return evaluate(req);
+  return evaluate(req, nullptr);
 }
 
 tensor::Tensor QueryServer::subtensor_traced(const Request& req,
@@ -380,7 +324,7 @@ std::future<tensor::Tensor> QueryServer::submit(Request req) const {
       ++exec_counters_.submitted;
     }
     try {
-      promise.set_value(evaluate(req));
+      promise.set_value(evaluate(req, nullptr));
     } catch (...) {
       promise.set_exception(std::current_exception());
     }
@@ -390,28 +334,18 @@ std::future<tensor::Tensor> QueryServer::submit(Request req) const {
   }
   std::unique_lock<std::mutex> lock(queue_mutex_);
   PT_REQUIRE(!stopping_, "serve: submit on a stopped server");
-  if (queue_.size() >= opts_.queue_depth) {
-    if (opts_.shed_on_overload) {
-      // Load shedding: reject now so the client can back off or retry
-      // elsewhere — overload degrades to an explicit error, not latency.
-      ++exec_counters_.sheds;
-      throw Overloaded(
-          "serve: admission queue full (" +
-          std::to_string(opts_.queue_depth) +
-          " queued), query shed — back off and retry, raise queue_depth, "
-          "or disable shed_on_overload");
-    }
-    // Admission control: a full queue blocks the client instead of
-    // growing the queue — overload degrades to latency, not memory.
+  // Admission control: one waiting query per worker. A full queue blocks
+  // the client instead of growing the queue — overload degrades to
+  // latency, not memory.
+  const std::size_t depth = workers_.size();
+  if (queue_.size() >= depth) {
     ++exec_counters_.admission_waits;
     obs::Span span_wait("serve.admission_wait");
-    queue_not_full_.wait(lock, [&] {
-      return queue_.size() < opts_.queue_depth || stopping_;
-    });
+    queue_not_full_.wait(
+        lock, [&] { return queue_.size() < depth || stopping_; });
     PT_REQUIRE(!stopping_, "serve: submit on a stopped server");
   }
-  queue_.push_back(Job{std::move(req), std::move(promise),
-                       std::chrono::steady_clock::now()});
+  queue_.push_back(Job{std::move(req), std::move(promise)});
   ++exec_counters_.submitted;
   exec_counters_.peak_queue =
       std::max(exec_counters_.peak_queue, queue_.size());
@@ -435,7 +369,7 @@ void QueryServer::worker_loop() {
     // Count completion BEFORE resolving the future, so a client that has
     // seen every future resolve also sees completed == submitted.
     try {
-      tensor::Tensor result = evaluate(job.req, nullptr, job.enqueued);
+      tensor::Tensor result = evaluate(job.req, nullptr);
       {
         std::lock_guard<std::mutex> lock(queue_mutex_);
         ++exec_counters_.completed;
@@ -470,7 +404,7 @@ double QueryServer::element(std::size_t a, std::uint64_t step,
                "serve: element index out of bounds in mode " << n);
     req.box[n] = {idx[n], idx[n] + 1};
   }
-  return evaluate(req)[0];
+  return evaluate(req, nullptr)[0];
 }
 
 std::vector<double> QueryServer::fiber(
@@ -505,7 +439,7 @@ std::vector<double> QueryServer::fiber(
     req.step_lo = step;
     req.step_hi = step + 1;
   }
-  const tensor::Tensor t = evaluate(req);
+  const tensor::Tensor t = evaluate(req, nullptr);
   return {t.data(), t.data() + t.size()};
 }
 
@@ -515,7 +449,7 @@ tensor::Tensor QueryServer::time_range(std::size_t a, std::uint64_t lo,
   req.archive = a;
   req.step_lo = lo;
   req.step_hi = hi;
-  return evaluate(req);
+  return evaluate(req, nullptr);
 }
 
 ExecutorCounters QueryServer::executor_counters() const {
@@ -554,32 +488,8 @@ std::string QueryServer::stats_report() const {
      << "server.exec.admission_waits " << ec.admission_waits << "\n"
      << "server.exec.peak_queue " << ec.peak_queue << "\n"
      << "server.exec.queue_size " << queue_size() << "\n"
-     << "server.exec.sheds " << ec.sheds << "\n"
-     << "server.deadline_misses " << ec.deadline_misses << "\n"
      << "server.quarantined " << quarantined_entries() << "\n"
      << obs::registry().snapshot().to_text();
-  return os.str();
-}
-
-std::string QueryServer::stats_json() const {
-  const CacheCounters cc = cache_.counters();
-  const ExecutorCounters ec = executor_counters();
-  std::ostringstream os;
-  os << "{\"server\":{\"archives\":" << archives_.size()
-     << ",\"cache\":{\"resident\":" << cache_.size()
-     << ",\"capacity\":" << cache_.capacity()
-     << ",\"lookups\":" << cc.lookups << ",\"hits\":" << cc.hits
-     << ",\"misses\":" << cc.misses << ",\"evictions\":" << cc.evictions
-     << ",\"invalidations\":" << cc.invalidations
-     << "},\"executor\":{\"submitted\":" << ec.submitted
-     << ",\"completed\":" << ec.completed
-     << ",\"admission_waits\":" << ec.admission_waits
-     << ",\"peak_queue\":" << ec.peak_queue
-     << ",\"queue_size\":" << queue_size()
-     << ",\"sheds\":" << ec.sheds
-     << "},\"deadline_misses\":" << ec.deadline_misses
-     << ",\"quarantined\":" << quarantined_entries()
-     << "},\"registry\":" << obs::registry().snapshot().to_json() << "}";
   return os.str();
 }
 

@@ -14,10 +14,11 @@
 ///             factors — cost scales with the answer, not the window), and
 ///             stitches along time;
 ///   cache     serve::PanelCache holds hot decompressed entry panels
-///             (sharded LRU, hit/miss/eviction counters);
-///   executor  a bounded-admission pool of worker threads; when all
-///             workers are busy and the queue is full, submit() blocks —
-///             overload degrades to queueing, never to unbounded memory.
+///             (one LRU, hit/miss/eviction counters);
+///   executor  a bounded-admission pool of worker threads with one queue
+///             slot per worker; when all workers are busy and the queue is
+///             full, submit() blocks — overload degrades to queueing, never
+///             to unbounded memory.
 ///
 /// Every answer is bit-identical to a single-threaded
 /// StreamingReconstructor::reconstruct_steps of the same box on a 1-rank
@@ -26,12 +27,11 @@
 /// bytes (serve_test.cpp holds this invariant under 8-thread load).
 ///
 /// Archives opened by the server are revalidated against the filesystem on
-/// every query (disable with ServerOptions::revalidate): a pure append is
-/// adopted in place with cached panels kept; an in-place rewrite bumps the
-/// archive's cache generation and drops its panels, mirroring the
-/// TimestepReader stale-file policy.
+/// every query: a pure append is adopted in place with cached panels kept;
+/// an in-place rewrite bumps the archive's cache generation and drops its
+/// panels, mirroring the TimestepReader stale-file policy. Entries that
+/// archived normalization stats are always served in physical values.
 
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -54,25 +54,9 @@ namespace ptucker::serve {
 struct ServerOptions {
   /// Total decompressed entry panels kept hot (LRU).
   std::size_t cache_capacity = 64;
-  /// Independently locked cache shards (clamped to cache_capacity).
-  std::size_t cache_shards = 8;
-  /// Executor worker threads; 0 = evaluate on the submitting thread.
+  /// Executor worker threads; 0 = evaluate on the submitting thread. The
+  /// admission queue holds one waiting query per worker.
   std::size_t executor_threads = 4;
-  /// Bounded admission queue depth; full queue blocks submit().
-  std::size_t queue_depth = 256;
-  /// Re-stat archives on every query; rewritten archives are re-opened.
-  bool revalidate = true;
-  /// Restore physical values with each entry's archived per-window stats.
-  bool denormalize = true;
-  /// Deadline applied to every query whose Request leaves deadline_ms == 0;
-  /// 0 = unbounded. For executor queries the clock starts at submit(), so
-  /// queueing time counts against the deadline — a query that waited too
-  /// long fails fast with DeadlineExceeded instead of occupying a worker.
-  std::uint64_t default_deadline_ms = 0;
-  /// Load shedding: when the admission queue is full, submit() throws
-  /// Overloaded immediately instead of blocking the caller. Off by default
-  /// (overload degrades to queueing latency, the original behavior).
-  bool shed_on_overload = false;
 };
 
 /// One query: global steps [step_lo, step_hi) of archive \p archive,
@@ -84,10 +68,6 @@ struct Request {
   std::uint64_t step_lo = 0;
   std::uint64_t step_hi = 0;
   std::vector<util::Range> box;
-  /// Per-query deadline in milliseconds; 0 = use the server default.
-  /// Exceeding it throws DeadlineExceeded (on the future for executor
-  /// queries) — partial answers are never returned.
-  std::uint64_t deadline_ms = 0;
 };
 
 /// Executor statistics (monotonic, except peak_queue which is a
@@ -97,8 +77,6 @@ struct ExecutorCounters {
   std::size_t completed = 0;
   std::size_t admission_waits = 0;  ///< submits that blocked on a full queue
   std::size_t peak_queue = 0;
-  std::size_t sheds = 0;            ///< submits rejected with Overloaded
-  std::size_t deadline_misses = 0;  ///< queries that threw DeadlineExceeded
 };
 
 /// Per-query introspection: what one evaluation actually did. Filled by
@@ -132,7 +110,7 @@ class QueryServer {
   /// Dims of one step of archive \p a (spatial x species, no time mode).
   [[nodiscard]] tensor::Dims step_dims(std::size_t a) const;
   /// One past the last committed step of archive \p a (re-snapshots the
-  /// file when revalidation is on, so appends become visible).
+  /// file, so appends become visible).
   [[nodiscard]] std::uint64_t num_steps(std::size_t a) const;
   /// Revalidation generation of archive \p a: bumped when an in-place
   /// rewrite invalidated the cached panels; unchanged by pure appends.
@@ -148,9 +126,8 @@ class QueryServer {
                                                 QueryTrace& trace) const;
 
   /// Asynchronous evaluation through the bounded executor. While the
-  /// admission queue is full, blocks — or, with shed_on_overload, throws
-  /// Overloaded immediately (synchronously, not on the future). A malformed
-  /// request surfaces as an exception on the future.
+  /// admission queue is full, blocks. A malformed request surfaces as an
+  /// exception on the future.
   [[nodiscard]] std::future<tensor::Tensor> submit(Request req) const;
 
   /// One element: value at spatial index \p idx of global step \p step.
@@ -184,9 +161,6 @@ class QueryServer {
   /// executor, queue) followed by the process-wide obs registry snapshot —
   /// one dump sees the whole stack (serve, pario, blas, mps).
   [[nodiscard]] std::string stats_report() const;
-  /// Same content as one JSON object:
-  /// {"server":{...},"registry":{counters,gauges,histograms}}.
-  [[nodiscard]] std::string stats_json() const;
 
  private:
   struct ArchiveState {
@@ -202,28 +176,20 @@ class QueryServer {
   struct Job {
     Request req;
     std::promise<tensor::Tensor> promise;
-    /// Deadline anchor: queueing time counts against the deadline.
-    std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// Stable (reader, generation) snapshot of archive \p a, revalidating
-  /// against the filesystem first when enabled.
+  /// Stable (reader, generation) snapshot of archive \p a, revalidated
+  /// against the filesystem first.
   struct Snapshot {
     std::shared_ptr<const pario::ArchiveReader> reader;
     std::uint64_t generation = 0;
   };
   [[nodiscard]] Snapshot snapshot(std::size_t a) const;
-  [[nodiscard]] tensor::Tensor evaluate(const Request& req) const;
+  /// \p qt, when non-null, receives the per-query breakdown.
   [[nodiscard]] tensor::Tensor evaluate(const Request& req,
                                         QueryTrace* qt) const;
-  /// \p anchor is when the query's deadline clock started — submit() time
-  /// for executor queries, call time for synchronous ones.
-  [[nodiscard]] tensor::Tensor evaluate(
-      const Request& req, QueryTrace* qt,
-      std::chrono::steady_clock::time_point anchor) const;
   void worker_loop();
 
-  ServerOptions opts_;
   std::vector<std::unique_ptr<ArchiveState>> archives_;
   mutable PanelCache cache_;
 

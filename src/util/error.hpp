@@ -55,19 +55,6 @@ class ArchiveFull : public InvalidArgument {
   explicit ArchiveFull(const std::string& what) : InvalidArgument(what) {}
 };
 
-/// serve: the per-query deadline elapsed before the answer was complete.
-class DeadlineExceeded : public Error {
- public:
-  explicit DeadlineExceeded(const std::string& what) : Error(what) {}
-};
-
-/// serve: the executor queue was full in shed mode; the query was rejected
-/// at submission instead of blocking the caller.
-class Overloaded : public Error {
- public:
-  explicit Overloaded(const std::string& what) : Error(what) {}
-};
-
 /// serve: the requested archive entry was poisoned by an earlier read
 /// failure and is quarantined until the archive is repaired/rewritten.
 class QuarantinedError : public Error {

@@ -1,8 +1,8 @@
 /// \file fault_test.cpp
 /// \brief End-to-end failure hardening: every injected failure class
 /// (EINTR, short transfers, transient EIO, ENOSPC, bit rot) swept through
-/// the PTB1/PTZ1/PTA1 read paths, plus the serve layer's degradation modes
-/// (quarantine, deadlines, load shedding) under the same substrate.
+/// the PTB1/PTZ1/PTA1 read paths, plus the serve layer's entry quarantine
+/// over corrupt archive bytes.
 ///
 /// Injection-driven suites skip themselves under -DPTUCKER_FAULTS=OFF; the
 /// corruption suites flip real bytes on disk and run in every build.
@@ -10,11 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -342,7 +342,7 @@ TEST(Corruption, Pta1TornTableSlotIsNamedInChecksumError) {
 }
 
 // ---------------------------------------------------------------------------
-// Serve-path degradation: quarantine, deadlines, load shedding.
+// Serve-path degradation: entry quarantine.
 // ---------------------------------------------------------------------------
 
 /// Build a plain (no stats) multi-window archive on 2 ranks.
@@ -392,10 +392,8 @@ TEST(ServeDegradation, QuarantineIsolatesTheCorruptEntry) {
     flip_byte(path, e1.byte_offset + e1.byte_count - 1);
   }
 
-  serve::ServerOptions opts;
-  opts.revalidate = false;  // the corrupt file must not be re-snapshotted
-  const serve::QueryServer server({path}, opts);
-  const serve::QueryServer oracle({pristine}, opts);
+  const serve::QueryServer server({path});
+  const serve::QueryServer oracle({pristine});
 
   // First touch fails the load with the checksum named...
   EXPECT_THROW((void)server.subtensor(window_request(1, window)),
@@ -437,94 +435,57 @@ TEST(ServeDegradation, QuarantineIsolatesTheCorruptEntry) {
   std::filesystem::remove(pristine);
 }
 
-TEST(ServeDegradation, DeadlineExceededFailsFastWithoutPoisoning) {
-  if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
-  const std::string path = temp_path("ptucker_serve_ddl.pta");
+TEST(ServeDegradation, CorruptionAfterOpenIsARewriteThenQuarantined) {
+  const std::string path = temp_path("ptucker_serve_quar_late.pta");
+  const std::string pristine = temp_path("ptucker_serve_quar_late_gold.pta");
   const Dims step_dims{6, 5};
   const std::size_t window = 2;
-  build_archive(path, step_dims, window, /*windows=*/2);
+  build_archive(path, step_dims, window, /*windows=*/3);
+  std::filesystem::copy_file(
+      path, pristine, std::filesystem::copy_options::overwrite_existing);
 
-  serve::ServerOptions opts;
-  opts.revalidate = false;
-  opts.executor_threads = 1;
-  const serve::QueryServer server({path}, opts);
+  const serve::QueryServer server({path});
+  const serve::QueryServer oracle({pristine});
+  // Warm every entry: all three panels are cached at the open generation.
+  for (std::size_t w = 0; w < 3; ++w) {
+    (void)server.subtensor(window_request(w, window));
+  }
+  const std::uint64_t gen = server.generation(0);
 
-  // Slow every entry load deterministically: each read_at call eats a
-  // 6-EIO streak whose backoff sleeps total ~10 ms — far past a 1 ms
-  // deadline, but within the 8-attempt budget, so the load SUCCEEDS and
-  // the entry must not be poisoned.
-  RetryPolicyGuard slow({/*max_attempts=*/8, /*base_backoff_us=*/2000,
-                         /*max_backoff_us=*/4000});
-  pario::faults::FaultPlan plan;
-  plan.path_substr = "ptucker_serve_ddl";
-  plan.p_read_eio = 1.0;
-  plan.eio_streak = 6;
+  // Rot entry 1 under the live server. The pause moves the file's mtime
+  // past the timestamp tick of the archive's last write, so the in-place
+  // flip (same inode, same size) shows in the stat signature.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   {
-    pario::faults::Guard guard(plan);
-    serve::Request req = window_request(0, window);
-    req.deadline_ms = 1;
-    EXPECT_THROW((void)server.subtensor(req), DeadlineExceeded);
-    // Executor path: the anchor is submit() time, the miss rides the
-    // future. Entry 1 — the first miss cached entry 0's panels, and a
-    // cache hit would beat even a 1 ms deadline.
-    serve::Request req2 = window_request(1, window);
-    req2.deadline_ms = 1;
-    auto fut = server.submit(req2);
-    EXPECT_THROW((void)fut.get(), DeadlineExceeded);
+    const pario::ArchiveReader reader(path);
+    const pario::ArchiveEntry& e1 = reader.entry(1);
+    flip_byte(path, e1.byte_offset + e1.byte_count - 1);
   }
-  EXPECT_EQ(server.quarantined_entries(), 0u);
-  EXPECT_GE(server.executor_counters().deadline_misses, 2u);
-  // With the faults gone the same entry serves — it was never poisoned.
-  const Tensor ok = server.subtensor(window_request(0, window));
-  EXPECT_GT(ok.size(), 0u);
-  const std::string report = server.stats_report();
-  EXPECT_NE(report.find("server.deadline_misses"), std::string::npos);
-  std::filesystem::remove(path);
-}
 
-TEST(ServeDegradation, ShedOnOverloadRejectsInsteadOfBlocking) {
-  if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
-  const std::string path = temp_path("ptucker_serve_shed.pta");
-  const Dims step_dims{6, 5};
-  const std::size_t window = 2;
-  build_archive(path, step_dims, window, /*windows=*/2);
+  // The next touch sees a rewrite: the cached clean panels are dropped,
+  // the reload of entry 1 fails its checksum...
+  EXPECT_THROW((void)server.subtensor(window_request(1, window)),
+               ChecksumError);
+  EXPECT_EQ(server.generation(0), gen + 1);
+  // ...and the touch after that fails fast with the quarantine named.
+  EXPECT_THROW((void)server.subtensor(window_request(1, window)),
+               QuarantinedError);
+  EXPECT_EQ(server.quarantined_entries(), 1u);
 
-  serve::ServerOptions opts;
-  opts.revalidate = false;
-  opts.executor_threads = 1;
-  opts.queue_depth = 1;
-  opts.shed_on_overload = true;
-  opts.cache_capacity = 1;  // keep loads on the slow path
-  const serve::QueryServer server({path}, opts);
-
-  // Slow loads so the single worker stays busy while we flood submit().
-  RetryPolicyGuard slow({/*max_attempts=*/8, /*base_backoff_us=*/2000,
-                         /*max_backoff_us=*/4000});
-  pario::faults::FaultPlan plan;
-  plan.path_substr = "ptucker_serve_shed";
-  plan.p_read_eio = 1.0;
-  plan.eio_streak = 6;
-  pario::faults::Guard guard(plan);
-
-  std::vector<std::future<Tensor>> futs;
-  std::size_t sheds = 0;
-  for (int i = 0; i < 16; ++i) {
-    try {
-      futs.push_back(server.submit(window_request(
-          static_cast<std::size_t>(i % 2), window)));
-    } catch (const Overloaded& e) {
-      ++sheds;
-      EXPECT_NE(std::string(e.what()).find("queue full"), std::string::npos);
-    }
+  // The untouched entries reload at the new generation and still
+  // bit-match the pristine oracle.
+  for (std::size_t w : {std::size_t{0}, std::size_t{2}}) {
+    const Tensor got = server.subtensor(window_request(w, window));
+    const Tensor want = oracle.subtensor(window_request(w, window));
+    ASSERT_EQ(got.dims(), want.dims());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(double)),
+              0)
+        << "entry " << w;
   }
-  // With a 1-deep queue, a 1-thread executor, and ~10 ms loads, most of a
-  // 16-submit burst must shed; every admitted query still completes.
-  EXPECT_GE(sheds, 1u);
-  for (auto& f : futs) EXPECT_GT(f.get().size(), 0u);
-  EXPECT_EQ(server.executor_counters().sheds, sheds);
-  const std::string report = server.stats_report();
-  EXPECT_NE(report.find("server.exec.sheds"), std::string::npos);
+  EXPECT_EQ(server.generation(0), gen + 1);
   std::filesystem::remove(path);
+  std::filesystem::remove(pristine);
 }
 
 }  // namespace

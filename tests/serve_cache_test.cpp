@@ -107,7 +107,7 @@ serve::PanelCache::Loader stub_loader(std::size_t entry,
 }
 
 TEST(PanelCache, EvictsLeastRecentlyUsed) {
-  serve::PanelCache cache(/*capacity=*/3, /*shards=*/1);
+  serve::PanelCache cache(/*capacity=*/3);
   std::atomic<std::size_t> loads{0};
   const auto key = [](std::size_t e) {
     return serve::PanelKey{0, 0, e};
@@ -121,7 +121,7 @@ TEST(PanelCache, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(loads.load(), 3u);  // a hit, no load
   // ...then a fourth key must evict e1, keeping e0 and e2.
   (void)cache.get_or_load(key(3), stub_loader(3, &loads));
-  const std::vector<serve::PanelKey> keys = cache.shard_keys(0);
+  const std::vector<serve::PanelKey> keys = cache.keys();
   ASSERT_EQ(keys.size(), 3u);
   EXPECT_EQ(keys[0].entry, 3u);  // most recently used first
   EXPECT_EQ(keys[1].entry, 0u);
@@ -134,33 +134,32 @@ TEST(PanelCache, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(loads.load(), 5u);
 }
 
-TEST(PanelCache, ShardsAreIndependent) {
-  // shard_of = (archive + entry) mod shards: entries alternate shards.
-  serve::PanelCache cache(/*capacity=*/4, /*shards=*/2);
-  ASSERT_EQ(cache.shard_count(), 2u);
+TEST(PanelCache, ArchivesShareOneRecencyOrder) {
+  // Keys of two archives interleave in one LRU: eviction takes the oldest
+  // key overall, whichever archive it belongs to.
+  serve::PanelCache cache(/*capacity=*/4);
   std::atomic<std::size_t> loads{0};
-  for (std::size_t e = 0; e < 4; ++e) {
-    const serve::PanelKey k{0, 0, e};
-    EXPECT_EQ(cache.shard_of(k), e % 2);
-    (void)cache.get_or_load(k, stub_loader(e, &loads));
+  const serve::PanelKey a0{0, 0, 0};
+  const serve::PanelKey b0{1, 0, 0};
+  const serve::PanelKey a1{0, 0, 1};
+  const serve::PanelKey b1{1, 0, 1};
+  for (const serve::PanelKey& k : {a0, b0, a1, b1}) {
+    (void)cache.get_or_load(k, stub_loader(k.entry, &loads));
   }
-  EXPECT_EQ(cache.size(), 4u);
-  // A fifth key lands in shard 0 (capacity 2) and evicts ITS oldest (e0);
-  // shard 1 is untouched.
-  (void)cache.get_or_load(serve::PanelKey{0, 0, 4}, stub_loader(4, &loads));
+  // Touch a0, leaving b0 the oldest key of either archive...
+  (void)cache.get_or_load(a0, stub_loader(0, &loads));
+  EXPECT_EQ(loads.load(), 4u);
+  // ...so archive 0's fifth key evicts archive 1's b0.
+  (void)cache.get_or_load(serve::PanelKey{0, 0, 2}, stub_loader(2, &loads));
   EXPECT_EQ(cache.counters().evictions, 1u);
-  const std::vector<serve::PanelKey> s0 = cache.shard_keys(0);
-  ASSERT_EQ(s0.size(), 2u);
-  EXPECT_EQ(s0[0].entry, 4u);
-  EXPECT_EQ(s0[1].entry, 2u);
-  const std::vector<serve::PanelKey> s1 = cache.shard_keys(1);
-  ASSERT_EQ(s1.size(), 2u);
-  EXPECT_EQ(s1[0].entry, 3u);
-  EXPECT_EQ(s1[1].entry, 1u);
+  const std::vector<serve::PanelKey> keys = cache.keys();
+  const std::vector<serve::PanelKey> want{
+      serve::PanelKey{0, 0, 2}, a0, b1, a1};
+  EXPECT_EQ(keys, want);
 }
 
 TEST(PanelCache, CountersStayConsistentUnderConcurrency) {
-  serve::PanelCache cache(/*capacity=*/4, /*shards=*/2);
+  serve::PanelCache cache(/*capacity=*/4);
   std::atomic<std::size_t> loads{0};
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < 4; ++t) {
@@ -187,7 +186,7 @@ TEST(PanelCache, CountersStayConsistentUnderConcurrency) {
 }
 
 TEST(PanelCache, EraseArchiveDropsOnlyThatArchive) {
-  serve::PanelCache cache(/*capacity=*/8, /*shards=*/2);
+  serve::PanelCache cache(/*capacity=*/8);
   std::atomic<std::size_t> loads{0};
   for (std::size_t a = 0; a < 2; ++a) {
     for (std::size_t e = 0; e < 2; ++e) {
@@ -291,27 +290,6 @@ TEST(ServeRevalidate, StepDimsChangeUnderTheServerThrows) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   build_archive(path, Dims{6, 4, 3}, 2, 2);
   EXPECT_THROW((void)server.time_range(0, 0, 4), InvalidArgument);
-  std::filesystem::remove(path);
-}
-
-TEST(ServeRevalidate, DisabledRevalidationServesTheOpenSnapshot) {
-  const std::string path = temp_path("ptucker_serve_norev.pta");
-  const Dims step_dims{5, 4, 3};
-  build_archive(path, step_dims, 2, 2);
-  serve::ServerOptions opts;
-  opts.executor_threads = 0;
-  opts.revalidate = false;
-  serve::QueryServer server({path}, opts);
-  const Tensor before = server.time_range(0, 0, 4);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  append_window(path, step_dims, 4, 2);
-  // Without revalidation the server stays on its open snapshot: the
-  // appended steps are not visible and the old answers are unchanged.
-  EXPECT_EQ(server.num_steps(0), 4u);
-  const Tensor after = server.time_range(0, 0, 4);
-  EXPECT_EQ(std::memcmp(before.data(), after.data(),
-                        before.size() * sizeof(double)),
-            0);
   std::filesystem::remove(path);
 }
 

@@ -194,7 +194,6 @@ TEST(Serve, EightThreadsOfRandomQueriesBitMatchTheOracle) {
 
   serve::ServerOptions opts;
   opts.cache_capacity = 8;
-  opts.cache_shards = 4;
   opts.executor_threads = 4;
   serve::QueryServer server({path}, opts);
 
@@ -239,7 +238,6 @@ TEST(Serve, CacheThrashAtCapacityOneStaysCorrect) {
 
   serve::ServerOptions opts;
   opts.cache_capacity = 1;
-  opts.cache_shards = 1;
   opts.executor_threads = 2;
   serve::QueryServer server({path}, opts);
 
@@ -292,8 +290,9 @@ TEST(Serve, BoundedExecutorCompletesEverySubmitUnderOverload) {
   const Dims step_dims{5, 4, 3};
   build_archive(path, step_dims, 2, 2, /*species_mode=*/-1);
   serve::ServerOptions opts;
+  // Two workers, so a two-deep queue: four clients must block on submit,
+  // never grow the queue.
   opts.executor_threads = 2;
-  opts.queue_depth = 2;  // tiny: submits must block, never grow the queue
   serve::QueryServer server({path}, opts);
 
   const serve::Request req{0, 0, 4, {}};
@@ -435,7 +434,6 @@ TEST(Serve, StatsReportExposesTheWholeStack) {
   // Each count has one record: the registry does not mirror the server's.
   EXPECT_EQ(report.find("serve.cache."), std::string::npos);
   EXPECT_EQ(report.find("serve.exec."), std::string::npos);
-  EXPECT_EQ(report.find("serve.deadline_misses"), std::string::npos);
   if constexpr (obs::kEnabled) {
     // The embedded registry snapshot reaches across subsystem boundaries:
     // the serve histogram and the pario layer underneath.
@@ -446,12 +444,6 @@ TEST(Serve, StatsReportExposesTheWholeStack) {
                   queries_before,
               served);
   }
-
-  const std::string json = server.stats_json();
-  EXPECT_NE(json.find("\"server\""), std::string::npos);
-  EXPECT_NE(json.find("\"cache\""), std::string::npos);
-  EXPECT_NE(json.find("\"executor\""), std::string::npos);
-  EXPECT_NE(json.find("\"registry\""), std::string::npos);
   std::filesystem::remove(path);
 }
 
