@@ -130,11 +130,13 @@ Ablation: model archive — 6 windows of 2 steps of 24x24x6 on 2 ranks
 archive vs per-window files: load 0.98x
 ```
 
-Query latency by client count with a cold and a warm panel cache, from
-`serve_qps --dim 24 --species 6 --windows 4 --queries 200 --max_clients 4`,
-then the same with `--queue_depth 1 --shed --deadline_ms 1000` (executor
-line only). `serve-cold` and `serve-hot` now measure the latency;
-`fault_test`'s `ServeDegradation.*` cases assert shedding and deadlines.
+Historical run, kept for the record: query latency by client count with a
+cold and a warm panel cache, from a `serve_qps` bench (`--dim 24 --species
+6 --windows 4 --queries 200 --max_clients 4`), then the same with
+`--queue_depth 1 --shed --deadline_ms 1000` (executor line only). The
+bench, load shedding and deadlines have since been removed; `serve-cold`
+and `serve-hot` now measure the latency, and `fault_test`'s
+`ServeDegradation.*` cases check entry quarantine only.
 
 ```
 Serve QPS: concurrent reconstruction queries — 4 windows of 4 steps of 24x24x6

@@ -121,13 +121,6 @@ void syrk_lower_batch_strided(Trans trans, std::size_t n, std::size_t k,
 /// copy).
 void symmetrize_from_lower(std::size_t n, double* c, std::size_t ldc);
 
-/// --- level 2 -------------------------------------------------------------------
-
-/// y = alpha * op(A) * x + beta * y, A stored m x n.
-void gemv(Trans trans, std::size_t m, std::size_t n, double alpha,
-          const double* a, std::size_t lda, const double* x, double beta,
-          double* y);
-
 /// --- level 1 -------------------------------------------------------------------
 
 void axpy(std::size_t n, double alpha, const double* x, double* y);

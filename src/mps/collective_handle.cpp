@@ -68,21 +68,17 @@ bool AsyncOp::progress(bool blocking) {
 
 void AsyncOp::on_start() {
   started = std::chrono::steady_clock::now();
-  if constexpr (obs::kEnabled) {
-    async_obs().inflight.add(1);
-  }
+  async_obs().inflight.add(1);
 }
 
 void AsyncOp::on_finish() {
   if (finish_recorded) return;
   finish_recorded = true;
-  if constexpr (obs::kEnabled) {
-    AsyncObsTable& t = async_obs();
-    t.inflight.add(-1);
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - started);
-    t.overlap_us.record(static_cast<std::uint64_t>(us.count()));
-  }
+  AsyncObsTable& t = async_obs();
+  t.inflight.add(-1);
+  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - started);
+  t.overlap_us.record(static_cast<std::uint64_t>(us.count()));
 }
 
 CollectiveHandle launch(std::unique_ptr<AsyncOp> op) {

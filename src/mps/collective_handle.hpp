@@ -105,7 +105,6 @@ template <class T>
 struct RingState {
   std::vector<T> work;   ///< reduce-scatter working copy of the input
   std::vector<T> acc;    ///< tree-reduce accumulator
-  std::vector<T> tmp;    ///< tree-reduce receive staging
   std::vector<std::size_t> counts;
   std::vector<std::size_t> offsets;
 };

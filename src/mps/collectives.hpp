@@ -160,9 +160,9 @@ bool build_reduce_tree(AsyncOp& op, const Comm& comm, RingState<T>* st,
       a.recv_bytes = st->acc.size() * sizeof(T);
       RingState<T>* s = st;
       a.consume = [s, theop](std::span<const std::byte> payload) {
-        copy_bytes(s->tmp.data(), payload.data(), payload.size());
+        const T* incoming = reinterpret_cast<const T*>(payload.data());
         for (std::size_t i = 0; i < s->acc.size(); ++i) {
-          s->acc[i] = theop(s->acc[i], s->tmp[i]);
+          s->acc[i] = theop(s->acc[i], incoming[i]);
         }
       };
       op.actions.push_back(std::move(a));
@@ -343,7 +343,6 @@ template <class T, class Op = Sum<T>>
 
   auto st = std::make_shared<detail::RingState<T>>();
   st->acc.assign(in.begin(), in.end());
-  st->tmp.resize(in.size());
   aop->state = st;
 
   if (detail::build_reduce_tree(*aop, comm, st.get(), root, tag, op)) {
@@ -461,7 +460,6 @@ template <class T, class Op = Sum<T>>
                                   st->offsets, detail::async_tag(seq, 1));
   } else {
     st->acc.assign(inout.begin(), inout.end());
-    st->tmp.resize(count);
     if (detail::build_reduce_tree(*aop, comm, s, 0, detail::async_tag(seq, 0),
                                   op)) {
       detail::AsyncAction a;

@@ -74,9 +74,8 @@ struct CommStats {
 
 /// Thrown by the debug-mode schedule verifier (parcoach-style collective
 /// matching, see Universe::verify_schedule) when ranks of one communicator
-/// executed divergent collective sequences — the precursor bug class for
-/// the planned async-collective refactor, caught at finalize instead of as
-/// a deadlock or a silently mismatched reduction.
+/// executed divergent collective sequences, caught at finalize instead of
+/// as a deadlock or a silently mismatched reduction.
 class ScheduleMismatchError : public Error {
  public:
   explicit ScheduleMismatchError(const std::string& what) : Error(what) {}

@@ -21,10 +21,8 @@
 ///  - The registry is a leaked singleton: handles cached in function-local
 ///    statics stay valid through program exit (including thread_local
 ///    destructors that may still record).
-///  - Metrics never influence computation: with `PTUCKER_OBS_DISABLED`
-///    defined (CMake `-DPTUCKER_OBS=OFF`) every update compiles to nothing
-///    and `obs::kEnabled` is false, checkable with `if constexpr`. Results
-///    are bit-identical either way — the registry only ever observes.
+///  - Metrics never influence computation: the registry only ever
+///    observes, so results are bit-identical whatever is recorded.
 ///
 /// Histograms are log-bucketed (8 sub-buckets per power of two, ~12.5%
 /// relative resolution, HdrHistogram-style) so recording is one atomic
@@ -44,11 +42,9 @@
 
 namespace ptucker::obs {
 
-#ifdef PTUCKER_OBS_DISABLED
-inline constexpr bool kEnabled = false;
-#else
+/// Always true: instrumentation is part of every build. Kept only because
+/// the benchmark suite records it in every result file.
 inline constexpr bool kEnabled = true;
-#endif
 
 /// Log-bucketed histogram storage: values 0..7 exact, then 8 sub-buckets
 /// per octave. Thread-safe: record() is wait-free (relaxed atomics), reads
@@ -150,19 +146,10 @@ class HistogramData {
 class Counter {
  public:
   Counter() = default;
-  void add(std::uint64_t n) {
-    if constexpr (kEnabled) {
-      cell_->fetch_add(n, std::memory_order_relaxed);
-    } else {
-      (void)n;
-    }
-  }
+  void add(std::uint64_t n) { cell_->fetch_add(n, std::memory_order_relaxed); }
   void inc() { add(1); }
   [[nodiscard]] std::uint64_t value() const {
-    if constexpr (kEnabled) {
-      return cell_->load(std::memory_order_relaxed);
-    }
-    return 0;
+    return cell_->load(std::memory_order_relaxed);
   }
 
  private:
@@ -171,40 +158,15 @@ class Counter {
   std::atomic<std::uint64_t>* cell_ = nullptr;
 };
 
-/// Instantaneous value handle (queue depths, resident panels, workers).
+/// Instantaneous value handle, moved by signed deltas (in-flight counts).
 class Gauge {
  public:
   Gauge() = default;
-  void set(std::int64_t v) {
-    if constexpr (kEnabled) {
-      cell_->store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
-  }
   void add(std::int64_t delta) {
-    if constexpr (kEnabled) {
-      cell_->fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
-  }
-  /// Raise to \p v if it is a new high-water mark.
-  void record_peak(std::int64_t v) {
-    if constexpr (kEnabled) {
-      std::int64_t cur = cell_->load(std::memory_order_relaxed);
-      while (v > cur && !cell_->compare_exchange_weak(
-                            cur, v, std::memory_order_relaxed)) {
-      }
-    } else {
-      (void)v;
-    }
+    cell_->fetch_add(delta, std::memory_order_relaxed);
   }
   [[nodiscard]] std::int64_t value() const {
-    if constexpr (kEnabled) {
-      return cell_->load(std::memory_order_relaxed);
-    }
-    return 0;
+    return cell_->load(std::memory_order_relaxed);
   }
 
  private:
@@ -217,13 +179,7 @@ class Gauge {
 class Histogram {
  public:
   Histogram() = default;
-  void record(std::uint64_t v) {
-    if constexpr (kEnabled) {
-      data_->record(v);
-    } else {
-      (void)v;
-    }
-  }
+  void record(std::uint64_t v) { data_->record(v); }
   [[nodiscard]] const HistogramData* data() const { return data_; }
 
  private:

@@ -19,8 +19,6 @@
 ///    tracing off and on).
 ///  - Session active: begin stamps a steady_clock time; end claims a ring
 ///    slot with one fetch_add and fills it. No locks on the record path.
-///  - Compiled out entirely (empty Span, constant-false active()) when
-///    PTUCKER_OBS_DISABLED is defined.
 ///
 /// The ring is bounded: when full, new events are dropped and counted
 /// (`TraceSession::dropped()`), never reallocated — a runaway span source
@@ -32,12 +30,6 @@
 #include <vector>
 
 namespace ptucker::obs {
-
-#ifdef PTUCKER_OBS_DISABLED
-inline constexpr bool kTraceCompiled = false;
-#else
-inline constexpr bool kTraceCompiled = true;
-#endif
 
 /// One completed span. Times are nanoseconds since session start.
 struct TraceEvent {
@@ -86,29 +78,20 @@ void record_span(const char* name, std::uint64_t t0_ns, std::int64_t arg);
 class Span {
  public:
   explicit Span(const char* name, std::int64_t arg = -1) {
-    if constexpr (kTraceCompiled) {
-      if (detail::trace_active_slow()) {
-        name_ = name;
-        arg_ = arg;
-        t0_ns_ = detail::now_ns();
-      }
-    } else {
-      (void)name;
-      (void)arg;
+    if (detail::trace_active_slow()) {
+      name_ = name;
+      arg_ = arg;
+      t0_ns_ = detail::now_ns();
     }
   }
   ~Span() {
-    if constexpr (kTraceCompiled) {
-      if (name_ != nullptr) detail::record_span(name_, t0_ns_, arg_);
-    }
+    if (name_ != nullptr) detail::record_span(name_, t0_ns_, arg_);
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  // Members exist in the disabled build too (the if-constexpr-discarded
-  // bodies must still name-resolve); the compiler drops the unused stores.
-  const char* name_ = nullptr;
+  const char* name_ = nullptr;  ///< null: recording nothing
   std::uint64_t t0_ns_ = 0;
   std::int64_t arg_ = -1;
 };

@@ -1,7 +1,5 @@
 #include "pario/failpoint.hpp"
 
-#ifndef PTUCKER_FAULTS_DISABLED
-
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -205,5 +203,3 @@ bool truncate_op_allowed(const std::string& path) {
 }
 
 }  // namespace ptucker::pario::faults
-
-#endif  // PTUCKER_FAULTS_DISABLED

@@ -11,10 +11,9 @@
 /// retry, checksum, and degradation machinery above can be exercised
 /// end to end.
 ///
-/// Mirrors the obs pattern: built by default, compiled to a zero-cost inline
-/// stub under -DPTUCKER_FAULTS=OFF (PTUCKER_FAULTS_DISABLED). Callers branch
-/// on `if constexpr (faults::kEnabled)` so the hooks vanish entirely from
-/// the disabled build.
+/// Always built in. While no plan is armed, every hook returns after one
+/// acquire load of the active plan, and behavior and bytes are identical to
+/// an unhooked File.
 ///
 /// The "crash" model: write-class ops (write_at / sync / truncate) on
 /// matching files are counted from arm(); at op crash_at_op the op transfers
@@ -29,12 +28,6 @@
 #include <string>
 
 namespace ptucker::pario::faults {
-
-#ifdef PTUCKER_FAULTS_DISABLED
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 /// One armed fault schedule. Probabilities are evaluated against a
 /// splitmix64 stream indexed by atomic decision counters, so a
@@ -98,8 +91,6 @@ struct OpGate {
   int fail_errno = 0;          ///< nonzero: fail the whole op loudly (ENOSPC)
 };
 
-#ifndef PTUCKER_FAULTS_DISABLED
-
 /// Install \p plan and zero all counters. Process-wide; tests serialize.
 void arm(const FaultPlan& plan);
 /// Remove the active plan (every hook becomes a no-op again).
@@ -140,46 +131,5 @@ class Guard {
   Guard(const Guard&) = delete;
   Guard& operator=(const Guard&) = delete;
 };
-
-#else  // PTUCKER_FAULTS_DISABLED — zero-cost stubs
-
-inline void arm(const FaultPlan&) {}
-inline void disarm() {}
-[[nodiscard]] inline bool armed() { return false; }
-[[nodiscard]] inline std::uint64_t write_class_ops() { return 0; }
-[[nodiscard]] inline std::uint64_t injected() { return 0; }
-[[nodiscard]] inline bool crashed() { return false; }
-[[nodiscard]] inline ReadCallPlan plan_read_call(const std::string&,
-                                                 std::size_t) {
-  return {};
-}
-[[nodiscard]] inline SyscallFault read_syscall_fault(const std::string&,
-                                                     std::size_t) {
-  return {};
-}
-inline void apply_read_call(const ReadCallPlan&, void*, std::size_t) {}
-[[nodiscard]] inline WriteCallPlan plan_write_call(const std::string&) {
-  return {};
-}
-[[nodiscard]] inline SyscallFault write_syscall_fault(const std::string&,
-                                                      std::size_t) {
-  return {};
-}
-[[nodiscard]] inline OpGate write_op_gate(const std::string&, std::size_t) {
-  return {};
-}
-[[nodiscard]] inline bool sync_op_allowed(const std::string&) { return true; }
-[[nodiscard]] inline bool truncate_op_allowed(const std::string&) {
-  return true;
-}
-
-class Guard {
- public:
-  explicit Guard(const FaultPlan&) {}
-  Guard(const Guard&) = delete;
-  Guard& operator=(const Guard&) = delete;
-};
-
-#endif  // PTUCKER_FAULTS_DISABLED
 
 }  // namespace ptucker::pario::faults

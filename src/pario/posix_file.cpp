@@ -139,21 +139,18 @@ std::uint64_t File::size() const {
 void File::read_at(std::uint64_t offset, void* buf, std::size_t n) const {
   PT_CHECK(valid(), "pario: read_at on closed file");
   char* dst = static_cast<char*>(buf);
-  faults::ReadCallPlan fp;
-  if constexpr (faults::kEnabled) fp = faults::plan_read_call(path_, n);
+  faults::ReadCallPlan fp = faults::plan_read_call(path_, n);
   const RetryPolicy policy = retry_policy();
   int attempts = 1;  // transient-error budget for the current position
   std::size_t done = 0;
   while (done < n) {
     std::size_t want = n - done;
     faults::SyscallFault sf;
-    if constexpr (faults::kEnabled) {
-      if (fp.eio_left > 0) {
-        --fp.eio_left;
-        sf.err = EIO;
-      } else {
-        sf = faults::read_syscall_fault(path_, want);
-      }
+    if (fp.eio_left > 0) {
+      --fp.eio_left;
+      sf.err = EIO;
+    } else {
+      sf = faults::read_syscall_fault(path_, want);
     }
     ssize_t got;
     if (sf.err != 0) {
@@ -179,7 +176,7 @@ void File::read_at(std::uint64_t offset, void* buf, std::size_t n) const {
     done += static_cast<std::size_t>(got);
     attempts = 1;  // progress: reset the transient budget
   }
-  if constexpr (faults::kEnabled) faults::apply_read_call(fp, buf, n);
+  faults::apply_read_call(fp, buf, n);
   io_counters().reads.inc();
   io_counters().read_bytes.add(n);
 }
@@ -188,31 +185,25 @@ void File::write_at(std::uint64_t offset, const void* buf,
                     std::size_t n) const {
   PT_CHECK(valid(), "pario: write_at on closed file");
   const char* src = static_cast<const char*>(buf);
-  std::size_t n_eff = n;
-  faults::WriteCallPlan fp;
-  if constexpr (faults::kEnabled) {
-    const faults::OpGate gate = faults::write_op_gate(path_, n);
-    if (gate.fail_errno != 0) {
-      throw_io_error("write", path_, offset, gate.fail_errno, 1);
-    }
-    // A simulated crash: only gate.allowed bytes land and we return as if
-    // the full write succeeded — no caller survives a real crash to see it.
-    n_eff = std::min(n, gate.allowed);
-    fp = faults::plan_write_call(path_);
+  const faults::OpGate gate = faults::write_op_gate(path_, n);
+  if (gate.fail_errno != 0) {
+    throw_io_error("write", path_, offset, gate.fail_errno, 1);
   }
+  // A simulated crash: only gate.allowed bytes land and we return as if
+  // the full write succeeded — no caller survives a real crash to see it.
+  const std::size_t n_eff = std::min(n, gate.allowed);
+  faults::WriteCallPlan fp = faults::plan_write_call(path_);
   const RetryPolicy policy = retry_policy();
   int attempts = 1;
   std::size_t done = 0;
   while (done < n_eff) {
     std::size_t want = n_eff - done;
     faults::SyscallFault sf;
-    if constexpr (faults::kEnabled) {
-      if (fp.eio_left > 0) {
-        --fp.eio_left;
-        sf.err = EIO;
-      } else {
-        sf = faults::write_syscall_fault(path_, want);
-      }
+    if (fp.eio_left > 0) {
+      --fp.eio_left;
+      sf.err = EIO;
+    } else {
+      sf = faults::write_syscall_fault(path_, want);
     }
     ssize_t put;
     if (sf.err != 0) {
@@ -242,9 +233,7 @@ void File::write_at(std::uint64_t offset, const void* buf,
 
 void File::truncate(std::uint64_t length) const {
   PT_CHECK(valid(), "pario: truncate on closed file");
-  if constexpr (faults::kEnabled) {
-    if (!faults::truncate_op_allowed(path_)) return;  // post-crash: dropped
-  }
+  if (!faults::truncate_op_allowed(path_)) return;  // post-crash: dropped
   while (::ftruncate(fd_, static_cast<off_t>(length)) != 0) {
     if (errno == EINTR) continue;
     throw_io_error("ftruncate", path_, length, errno, 1);
@@ -253,9 +242,7 @@ void File::truncate(std::uint64_t length) const {
 
 void File::sync() const {
   PT_CHECK(valid(), "pario: sync on closed file");
-  if constexpr (faults::kEnabled) {
-    if (!faults::sync_op_allowed(path_)) return;  // post-crash: dropped
-  }
+  if (!faults::sync_op_allowed(path_)) return;  // post-crash: dropped
   // A failed fsync is never retried: after it fails, dirty pages may
   // already have been dropped, so a succeeding retry proves nothing.
   while (::fsync(fd_) != 0) {

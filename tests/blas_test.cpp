@@ -162,31 +162,6 @@ TEST(Syrk, LowerPlusSymmetrizeMatchesFull) {
   EXPECT_LT(testing::max_diff(full.data(), lower.data(), n * n), 1e-11);
 }
 
-TEST(Gemv, BothTransposesMatchReference) {
-  const std::size_t m = 13;
-  const std::size_t n = 9;
-  const auto a = random_buffer(m * n, 8);
-  const auto x = random_buffer(n, 9);
-  const auto xt = random_buffer(m, 10);
-  std::vector<double> y(m, 1.0);
-  blas::gemv(Trans::No, m, n, 2.0, a.data(), m, x.data(), 0.5, y.data());
-  std::vector<double> y_ref(m, 1.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < n; ++j) s += a[i + j * m] * x[j];
-    y_ref[i] = 0.5 * 1.0 + 2.0 * s;
-  }
-  EXPECT_LT(testing::max_diff(y.data(), y_ref.data(), m), 1e-12);
-
-  std::vector<double> z(n, 0.0);
-  blas::gemv(Trans::Yes, m, n, 1.0, a.data(), m, xt.data(), 0.0, z.data());
-  for (std::size_t j = 0; j < n; ++j) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < m; ++i) s += a[i + j * m] * xt[i];
-    EXPECT_NEAR(z[j], s, 1e-12);
-  }
-}
-
 TEST(Level1, DotAxpyNrm2ScalCopy) {
   const auto x = random_buffer(100, 11);
   auto y = random_buffer(100, 12);

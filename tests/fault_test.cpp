@@ -4,8 +4,8 @@
 /// the PTB1/PTZ1/PTA1 read paths, plus the serve layer's entry quarantine
 /// over corrupt archive bytes.
 ///
-/// Injection-driven suites skip themselves under -DPTUCKER_FAULTS=OFF; the
-/// corruption suites flip real bytes on disk and run in every build.
+/// The injection-driven suites arm pario::faults plans; the corruption
+/// suites flip real bytes on disk.
 
 #include <gtest/gtest.h>
 
@@ -99,7 +99,6 @@ void expect_ptb1_roundtrips(const std::string& path, const Dims& dims,
 // ---------------------------------------------------------------------------
 
 TEST(FaultInjection, EintrAndShortTransfersAreTransparent) {
-  if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
   const std::string path = temp_path("ptucker_fault_eintr.ptb");
   const Dims dims{8, 6, 5};
   pario::faults::FaultPlan plan;
@@ -121,7 +120,6 @@ TEST(FaultInjection, EintrAndShortTransfersAreTransparent) {
 }
 
 TEST(FaultInjection, TransientEioRecoversWithinRetryBudget) {
-  if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
   const std::string path = temp_path("ptucker_fault_eio.ptb");
   const Dims dims{8, 6, 5};
   build_ptb1(path, dims, 13);
@@ -143,7 +141,6 @@ TEST(FaultInjection, TransientEioRecoversWithinRetryBudget) {
 }
 
 TEST(FaultInjection, EioStreakBeyondBudgetGivesUpWithIoError) {
-  if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
   const std::string path = temp_path("ptucker_fault_giveup.ptb");
   const Dims dims{8, 6, 5};
   build_ptb1(path, dims, 17);
@@ -172,7 +169,6 @@ TEST(FaultInjection, EioStreakBeyondBudgetGivesUpWithIoError) {
 }
 
 TEST(FaultInjection, EnospcFailsLoudly) {
-  if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
   const std::string path = temp_path("ptucker_fault_enospc.bin");
   pario::faults::FaultPlan plan;
   plan.path_substr = "ptucker_fault_enospc";
@@ -193,7 +189,6 @@ TEST(FaultInjection, EnospcFailsLoudly) {
 }
 
 TEST(FaultInjection, Ptt1WriteEnospcThrowsIoError) {
-  if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
   const std::string path = temp_path("ptucker_fault_ptt1_enospc.ptt");
   Tensor t(Dims{7, 5, 4});
   t.fill_from(testing::splitmix_field(1901));
@@ -209,7 +204,6 @@ TEST(FaultInjection, Ptt1WriteEnospcThrowsIoError) {
 }
 
 TEST(FaultInjection, InjectedBitFlipsRaiseChecksumErrorAcrossSeeds) {
-  if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
   const std::string path = temp_path("ptucker_fault_bitflip.ptb");
   const Dims dims{8, 6, 5};
   // Single-block file: the payload reads back as one 1920-byte pread, well

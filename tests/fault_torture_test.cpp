@@ -46,7 +46,6 @@ std::vector<char> file_bytes(const std::string& path, std::uint64_t offset,
 }
 
 TEST(CrashTorture, CommittedPrefixSurvivesACrashAtEveryWriteBoundary) {
-  if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
   const std::string path = temp_path("ptucker_torture.pta");
   const std::string pristine = temp_path("ptucker_torture_1entry.pta");
   const std::string full = temp_path("ptucker_torture_2entry.pta");
@@ -151,7 +150,6 @@ TEST(CrashTorture, CommittedPrefixSurvivesACrashAtEveryWriteBoundary) {
 /// bit-identical to the uncrashed run's, and re-running the append from the
 /// survivor's step_end converges to the golden archive byte for byte.
 TEST(CrashTorture, ChainedBatchedAppendKeepsPrefixConsistentAndResumable) {
-  if constexpr (!pario::faults::kEnabled) GTEST_SKIP();
   const std::string path = temp_path("ptucker_torture_chain.pta");
   const std::string pristine = temp_path("ptucker_torture_chain_1.pta");
   const std::string full = temp_path("ptucker_torture_chain_3.pta");

@@ -44,8 +44,8 @@ void expect_eig_valid(const la::SymEig& eig, const Matrix& a, double tol) {
   // A v = lambda v for each pair.
   for (std::size_t j = 0; j < n; ++j) {
     std::vector<double> av(n, 0.0);
-    blas::gemv(blas::Trans::No, n, n, 1.0, a.data(), n, eig.vector(j), 0.0,
-               av.data());
+    blas::gemm(blas::Trans::No, blas::Trans::No, n, 1, n, 1.0, a.data(), n,
+               eig.vector(j), n, 0.0, av.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(av[i], eig.values[j] * eig.vector(j)[i], tol)
           << "pair " << j << " row " << i;

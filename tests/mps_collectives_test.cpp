@@ -311,6 +311,50 @@ TEST_P(Collectives, IReduceParityBitwise) {
   }
 }
 
+/// Serial replay of the binomial tree's combine order: at round `mask`,
+/// virtual rank vr (low bits below 2*mask clear) folds in the subtree of
+/// vr + mask as op(acc, incoming). Virtual rank vr is rank (vr + root) % p.
+template <class Op>
+std::vector<double> binomial_reduce_reference(int p, int root,
+                                              std::size_t count, Op op) {
+  std::vector<std::vector<double>> acc;
+  for (int vr = 0; vr < p; ++vr) {
+    acc.push_back(payload_for((vr + root) % p, count));
+  }
+  for (int mask = 1; mask < p; mask <<= 1) {
+    for (int vr = 0; vr + mask < p; vr += 2 * mask) {
+      auto& dst = acc[static_cast<std::size_t>(vr)];
+      const auto& src = acc[static_cast<std::size_t>(vr + mask)];
+      for (std::size_t i = 0; i < count; ++i) dst[i] = op(dst[i], src[i]);
+    }
+  }
+  return acc[0];
+}
+
+/// The floating-point sum depends on the fold order, so `reduce` must
+/// reproduce the binomial order bit for bit, not just within rounding.
+TEST_P(Collectives, ReduceMatchesBinomialOrderBitwise) {
+  const int p = GetParam();
+  constexpr std::size_t kCount = 33;
+  auto check = [&](int root, auto op, const char* op_name) {
+    const auto expected = binomial_reduce_reference(p, root, kCount, op);
+    run_ranks(p, [&](mps::Comm& comm) {
+      const auto mine = payload_for(comm.rank(), kCount);
+      std::vector<double> out(comm.rank() == root ? kCount : 0);
+      mps::reduce(comm, std::span<const double>(mine), std::span<double>(out),
+                  root, op);
+      if (comm.rank() == root) {
+        EXPECT_TRUE(bitwise_equal(out, expected))
+            << op_name << " root " << root;
+      }
+    });
+  };
+  for (const int root : {0, p - 1}) {
+    check(root, mps::Sum<double>{}, "Sum");
+    check(root, mps::Max<double>{}, "Max");
+  }
+}
+
 TEST_P(Collectives, IAllReduceParityBitwiseBothPaths) {
   const int p = GetParam();
   // 1 element takes the reduce+broadcast tree; 4P+8 the ring pair.

@@ -434,16 +434,13 @@ TEST(Serve, StatsReportExposesTheWholeStack) {
   // Each count has one record: the registry does not mirror the server's.
   EXPECT_EQ(report.find("serve.cache."), std::string::npos);
   EXPECT_EQ(report.find("serve.exec."), std::string::npos);
-  if constexpr (obs::kEnabled) {
-    // The embedded registry snapshot reaches across subsystem boundaries:
-    // the serve histogram and the pario layer underneath.
-    EXPECT_NE(report.find("serve.query_us"), std::string::npos);
-    EXPECT_NE(report.find("pario.read_bytes"), std::string::npos);
-    // The registry sees every query served, exactly once.
-    EXPECT_EQ(obs::registry().counter("serve.queries").value() -
-                  queries_before,
-              served);
-  }
+  // The embedded registry snapshot reaches across subsystem boundaries:
+  // the serve histogram and the pario layer underneath.
+  EXPECT_NE(report.find("serve.query_us"), std::string::npos);
+  EXPECT_NE(report.find("pario.read_bytes"), std::string::npos);
+  // The registry sees every query served, exactly once.
+  EXPECT_EQ(obs::registry().counter("serve.queries").value() - queries_before,
+            served);
   std::filesystem::remove(path);
 }
 

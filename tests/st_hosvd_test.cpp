@@ -260,7 +260,6 @@ TEST(Sthosvd, FourWayTensor) {
 // st_hosvd's spans are the only per-kernel timing record, and benches read
 // them by name: a renamed, re-nested or re-argumented span must fail here.
 TEST(Sthosvd, SpansRecordEveryKernelPerRankAndMode) {
-  if (!obs::kTraceCompiled) GTEST_SKIP() << "built with PTUCKER_OBS=OFF";
   struct Route {
     core::FactorMethod method;
     std::multiset<std::string> kernels;  ///< children of each mode span
