@@ -4,7 +4,11 @@
 #include <algorithm>
 #include <barrier>
 #include <cstring>
-#include <vector>
+#include <memory>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "blas/kernel_core.hpp"
 #include "blas/threadpool.hpp"
@@ -26,9 +30,10 @@ OpStrides strides_for(Trans t, std::size_t ld) {
 }
 
 /// Pack an mc x kc block of op(A) into MR-row panels, zero-padding the
-/// ragged last panel. Layout: panel p holds rows [p*MR, p*MR+MR) as kc
-/// consecutive MR-vectors. Panels with p % parts != part are skipped, so a
-/// pool job splits the packing work without overlap.
+/// ragged last panel. Layout: panel p starts at p*kc*MR and holds rows
+/// [p*MR, p*MR+MR) as kc consecutive MR-vectors. Panels with
+/// p % parts != part are skipped, so a pool job splits the packing work
+/// without overlap.
 void pack_a(const double* a, OpStrides s, std::size_t row0, std::size_t col0,
             std::size_t mc, std::size_t kc, double* dst, int part, int parts) {
   for (std::size_t p = static_cast<std::size_t>(part); p < (mc + MR - 1) / MR;
@@ -37,7 +42,7 @@ void pack_a(const double* a, OpStrides s, std::size_t row0, std::size_t col0,
     const std::size_t rows = std::min(MR, mc - i0);
     for (std::size_t l = 0; l < kc; ++l) {
       const double* src = a + (row0 + i0) * s.rs + (col0 + l) * s.cs;
-      double* out = dst + p * (KC * MR) + l * MR;
+      double* out = dst + p * (kc * MR) + l * MR;
       std::size_t i = 0;
       for (; i < rows; ++i) out[i] = src[i * s.rs];
       for (; i < MR; ++i) out[i] = 0.0;
@@ -45,8 +50,8 @@ void pack_a(const double* a, OpStrides s, std::size_t row0, std::size_t col0,
   }
 }
 
-/// Pack a kc x nc block of op(B) into NR-column panels, zero-padded, with
-/// the same part/parts panel split as pack_a.
+/// Pack a kc x nc block of op(B) into NR-column panels, zero-padded, in
+/// pack_a's layout (panel p at p*kc*NR) and with its part/parts split.
 void pack_b(const double* b, OpStrides s, std::size_t row0, std::size_t col0,
             std::size_t kc, std::size_t nc, double* dst, int part, int parts) {
   for (std::size_t p = static_cast<std::size_t>(part); p < (nc + NR - 1) / NR;
@@ -55,7 +60,7 @@ void pack_b(const double* b, OpStrides s, std::size_t row0, std::size_t col0,
     const std::size_t cols = std::min(NR, nc - j0);
     for (std::size_t l = 0; l < kc; ++l) {
       const double* src = b + (row0 + l) * s.rs + (col0 + j0) * s.cs;
-      double* out = dst + p * (KC * NR) + l * NR;
+      double* out = dst + p * (kc * NR) + l * NR;
       std::size_t j = 0;
       for (; j < cols; ++j) out[j] = src[j * s.cs];
       for (; j < NR; ++j) out[j] = 0.0;
@@ -63,24 +68,168 @@ void pack_b(const double* b, OpStrides s, std::size_t row0, std::size_t col0,
   }
 }
 
-/// MR x NR register-tiled microkernel: acc = sum_l Ap(:,l) * Bp(l,:).
-/// Ap: kc MR-vectors; Bp: kc NR-vectors. Plain nested loops over fixed-size
-/// arrays; GCC/Clang vectorize this into FMA code with -O3 -march=native.
-inline void micro_kernel(std::size_t kc, const double* ap, const double* bp,
-                         double acc[MR][NR]) {
-  for (std::size_t i = 0; i < MR; ++i) {
-    for (std::size_t j = 0; j < NR; ++j) acc[i][j] = 0.0;
-  }
+}  // namespace
+
+// The three microkernel bodies: acc = sum_l Ap(:,l) * Bp(l,:) for one
+// MR x NR tile, where Ap holds kc MR-vectors and Bp kc NR-vectors. Each
+// element adds its products in increasing l, so the SIMD bodies (one fused
+// multiply-add per product) agree bit for bit, and differ from the
+// portable body only where the compiler leaves its multiply and add
+// unfused. External linkage keeps each one a single function under its own
+// name: scripts/check_isa_isolation.sh allows VEX/EVEX code only in
+// functions named *_avx2 and *_avx512.
+
+static_assert(MR == 8 && NR == 8, "the SIMD bodies hard-code an 8x8 tile");
+
+/// Plain loops over one 4-row half of the tile (rows [h, h+4) of ap's
+/// 8-vectors). The sums build in a local array, which the compiler keeps in
+/// registers (acc itself might alias the panels); a single 8x8 sweep would
+/// spill them out of a default x86-64 build's 16 SSE registers.
+inline void portable_half(std::size_t kc, const double* ap, const double* bp,
+                          double acc[][NR]) {
+  constexpr std::size_t H = MR / 2;
+  double sum[H][NR] = {};
   for (std::size_t l = 0; l < kc; ++l) {
     const double* av = ap + l * MR;
     const double* bv = bp + l * NR;
-    for (std::size_t i = 0; i < MR; ++i) {
+    for (std::size_t i = 0; i < H; ++i) {
       const double ai = av[i];
-      for (std::size_t j = 0; j < NR; ++j) {
-        acc[i][j] += ai * bv[j];
-      }
+      for (std::size_t j = 0; j < NR; ++j) sum[i][j] += ai * bv[j];
     }
   }
+  std::memcpy(acc, sum, sizeof(sum));
+}
+
+void micro_kernel_portable(std::size_t kc, const double* ap, const double* bp,
+                           double acc[MR][NR]) {
+  portable_half(kc, ap, bp, acc);
+  portable_half(kc, ap + MR / 2, bp, acc + MR / 2);
+}
+
+#if defined(__x86_64__)
+
+/// AVX2+FMA: each 4-row half keeps 8 ymm accumulators (row i, columns 0-3
+/// and 4-7) plus the two B halves in registers.
+__attribute__((target("avx2,fma"))) void micro_kernel_avx2(
+    std::size_t kc, const double* ap, const double* bp, double acc[MR][NR]) {
+  for (std::size_t h = 0; h < MR; h += 4) {
+    __m256d c0l = _mm256_setzero_pd();
+    __m256d c0h = _mm256_setzero_pd();
+    __m256d c1l = _mm256_setzero_pd();
+    __m256d c1h = _mm256_setzero_pd();
+    __m256d c2l = _mm256_setzero_pd();
+    __m256d c2h = _mm256_setzero_pd();
+    __m256d c3l = _mm256_setzero_pd();
+    __m256d c3h = _mm256_setzero_pd();
+    for (std::size_t l = 0; l < kc; ++l) {
+      const double* av = ap + l * MR + h;
+      const __m256d bl = _mm256_loadu_pd(bp + l * NR);
+      const __m256d bh = _mm256_loadu_pd(bp + l * NR + 4);
+      __m256d a = _mm256_broadcast_sd(av + 0);
+      c0l = _mm256_fmadd_pd(a, bl, c0l);
+      c0h = _mm256_fmadd_pd(a, bh, c0h);
+      a = _mm256_broadcast_sd(av + 1);
+      c1l = _mm256_fmadd_pd(a, bl, c1l);
+      c1h = _mm256_fmadd_pd(a, bh, c1h);
+      a = _mm256_broadcast_sd(av + 2);
+      c2l = _mm256_fmadd_pd(a, bl, c2l);
+      c2h = _mm256_fmadd_pd(a, bh, c2h);
+      a = _mm256_broadcast_sd(av + 3);
+      c3l = _mm256_fmadd_pd(a, bl, c3l);
+      c3h = _mm256_fmadd_pd(a, bh, c3h);
+    }
+    _mm256_storeu_pd(acc[h + 0], c0l);
+    _mm256_storeu_pd(acc[h + 0] + 4, c0h);
+    _mm256_storeu_pd(acc[h + 1], c1l);
+    _mm256_storeu_pd(acc[h + 1] + 4, c1h);
+    _mm256_storeu_pd(acc[h + 2], c2l);
+    _mm256_storeu_pd(acc[h + 2] + 4, c2h);
+    _mm256_storeu_pd(acc[h + 3], c3l);
+    _mm256_storeu_pd(acc[h + 3] + 4, c3h);
+  }
+}
+
+/// AVX-512F: one zmm accumulator per tile row; each step loads one B row
+/// and issues 8 broadcast-FMAs.
+__attribute__((target("avx512f"))) void micro_kernel_avx512(
+    std::size_t kc, const double* ap, const double* bp, double acc[MR][NR]) {
+  __m512d c0 = _mm512_setzero_pd();
+  __m512d c1 = _mm512_setzero_pd();
+  __m512d c2 = _mm512_setzero_pd();
+  __m512d c3 = _mm512_setzero_pd();
+  __m512d c4 = _mm512_setzero_pd();
+  __m512d c5 = _mm512_setzero_pd();
+  __m512d c6 = _mm512_setzero_pd();
+  __m512d c7 = _mm512_setzero_pd();
+  for (std::size_t l = 0; l < kc; ++l) {
+    const double* av = ap + l * MR;
+    const __m512d b = _mm512_loadu_pd(bp + l * NR);
+    c0 = _mm512_fmadd_pd(_mm512_set1_pd(av[0]), b, c0);
+    c1 = _mm512_fmadd_pd(_mm512_set1_pd(av[1]), b, c1);
+    c2 = _mm512_fmadd_pd(_mm512_set1_pd(av[2]), b, c2);
+    c3 = _mm512_fmadd_pd(_mm512_set1_pd(av[3]), b, c3);
+    c4 = _mm512_fmadd_pd(_mm512_set1_pd(av[4]), b, c4);
+    c5 = _mm512_fmadd_pd(_mm512_set1_pd(av[5]), b, c5);
+    c6 = _mm512_fmadd_pd(_mm512_set1_pd(av[6]), b, c6);
+    c7 = _mm512_fmadd_pd(_mm512_set1_pd(av[7]), b, c7);
+  }
+  _mm512_storeu_pd(acc[0], c0);
+  _mm512_storeu_pd(acc[1], c1);
+  _mm512_storeu_pd(acc[2], c2);
+  _mm512_storeu_pd(acc[3], c3);
+  _mm512_storeu_pd(acc[4], c4);
+  _mm512_storeu_pd(acc[5], c5);
+  _mm512_storeu_pd(acc[6], c6);
+  _mm512_storeu_pd(acc[7], c7);
+}
+
+#endif
+
+bool kernel_path_supported(KernelPath path) {
+#if defined(__x86_64__)
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0 &&
+           __builtin_cpu_supports("fma") != 0;
+  }();
+  static const bool avx512 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  switch (path) {
+    case KernelPath::Portable:
+      return true;
+    case KernelPath::Avx2:
+      return avx2;
+    case KernelPath::Avx512:
+      return avx512;
+  }
+  return false;
+#else
+  return path == KernelPath::Portable;
+#endif
+}
+
+KernelPath best_kernel_path() {
+  static const KernelPath best = [] {
+    if (kernel_path_supported(KernelPath::Avx512)) return KernelPath::Avx512;
+    if (kernel_path_supported(KernelPath::Avx2)) return KernelPath::Avx2;
+    return KernelPath::Portable;
+  }();
+  return best;
+}
+
+namespace {
+
+using MicroKernel = void (*)(std::size_t, const double*, const double*,
+                             double[MR][NR]);
+
+MicroKernel kernel_for(KernelPath path) {
+#if defined(__x86_64__)
+  if (path == KernelPath::Avx512) return micro_kernel_avx512;
+  if (path == KernelPath::Avx2) return micro_kernel_avx2;
+#endif
+  return micro_kernel_portable;
 }
 
 /// Write acc back into C(gi.., gj..). With lower_only, rows above the
@@ -126,20 +275,37 @@ struct SyncCtx {
   }
 };
 
-std::size_t a_pack_len() { return ((MC + MR - 1) / MR) * KC * MR; }
-std::size_t b_pack_len() { return ((NC + NR - 1) / NR) * KC * NR; }
+/// Per-thread pack scratch, grown to the largest call this thread has run
+/// and never shrunk or cleared: the packers write every element the
+/// microkernel reads.
+class PackScratch {
+ public:
+  double* get(std::size_t len) {
+    if (len > cap_) {
+      buf_.reset();  // free before allocating: never hold both
+      cap_ = 0;
+      buf_ = std::make_unique_for_overwrite<double[]>(len);
+      cap_ = len;
+    }
+    return buf_.get();
+  }
+
+ private:
+  std::unique_ptr<double[]> buf_;
+  std::size_t cap_ = 0;
+};
 
 /// Fused-k body: one C, the batch rides in the contraction dimension with
 /// KC slabs clipped at item boundaries (bit-equal to a per-item gemm loop).
 /// Packing is split panel-wise across parts; the compute phase partitions
 /// micro tiles round-robin. All parts execute identical loop bounds, so the
 /// barrier arrival counts always match.
-void fused_body(const EngineArgs& g, double* a_pack, double* b_pack, int part,
-                int parts, const SyncCtx& ctx) {
+void fused_body(const EngineArgs& g, MicroKernel kernel, double* a_pack,
+                double* b_pack, int part, int parts, const SyncCtx& ctx) {
   const OpStrides sa = strides_for(g.ta, g.lda);
   const OpStrides sb = strides_for(g.tb, g.ldb);
   const std::size_t k_total = g.k * g.batch;
-  double acc[MR][NR];
+  alignas(64) double acc[MR][NR];
   for (std::size_t jc = 0; jc < g.n; jc += NC) {
     const std::size_t nc = std::min(NC, g.n - jc);
     const std::size_t n_panels = (nc + NR - 1) / NR;
@@ -168,8 +334,7 @@ void fused_body(const EngineArgs& g, double* a_pack, double* b_pack, int part,
           const std::size_t gi = ic + i0;
           const std::size_t gj = jc + j0;
           if (g.lower_only && gi + rows <= gj) continue;  // strictly upper
-          micro_kernel(kc, a_pack + ip * (KC * MR), b_pack + jp * (KC * NR),
-                       acc);
+          kernel(kc, a_pack + ip * (kc * MR), b_pack + jp * (kc * NR), acc);
           write_back(g.c, g.ldc, gi, gj, rows, cols, g.alpha, beta_eff, acc,
                      g.lower_only);
         }
@@ -188,13 +353,13 @@ void fused_body(const EngineArgs& g, double* a_pack, double* b_pack, int part,
 /// barrier-synchronized body must never throw (an allocation failure here
 /// would strand the other parts at the barrier), so it performs no
 /// allocation at all.
-void strided_body(const EngineArgs& g, double* b_pack, double* a_pack,
-                  int part, int parts, const SyncCtx& ctx) {
+void strided_body(const EngineArgs& g, MicroKernel kernel, double* b_pack,
+                  double* a_pack, int part, int parts, const SyncCtx& ctx) {
   const OpStrides sa = strides_for(g.ta, g.lda);
   const OpStrides sb = strides_for(g.tb, g.ldb);
   const std::size_t m_tiles = (g.m + MC - 1) / MC;
   const std::size_t units = g.batch * m_tiles;
-  double acc[MR][NR];
+  alignas(64) double acc[MR][NR];
   for (std::size_t jc = 0; jc < g.n; jc += NC) {
     const std::size_t nc = std::min(NC, g.n - jc);
     const std::size_t n_panels = (nc + NR - 1) / NR;
@@ -217,8 +382,7 @@ void strided_body(const EngineArgs& g, double* b_pack, double* a_pack,
           for (std::size_t ip = 0; ip < m_panels; ++ip) {
             const std::size_t i0 = ip * MR;
             const std::size_t rows = std::min(MR, mc - i0);
-            micro_kernel(kc, a_pack + ip * (KC * MR), b_pack + jp * (KC * NR),
-                         acc);
+            kernel(kc, a_pack + ip * (kc * MR), b_pack + jp * (kc * NR), acc);
             write_back(c_item, g.ldc, ic + i0, jc + j0, rows, cols, g.alpha,
                        beta_eff, acc, false);
           }
@@ -260,7 +424,11 @@ int decide_parts(const EngineArgs& g, bool fused) {
 
 }  // namespace
 
-void run_engine(const EngineArgs& g) {
+void run_engine(const EngineArgs& g) { run_engine(g, best_kernel_path()); }
+
+void run_engine(const EngineArgs& g, KernelPath path) {
+  PT_CHECK(kernel_path_supported(path),
+           "run_engine: this CPU cannot run the requested kernel path");
   if (g.m == 0 || g.n == 0 || g.batch == 0) return;
   if (g.k == 0 || g.alpha == 0.0) {
     if (g.stride_c == 0 || g.batch == 1) {
@@ -282,21 +450,24 @@ void run_engine(const EngineArgs& g) {
   // All scratch is allocated on the calling thread *before* any fork and
   // reused across calls; pool workers receive raw pointers through the job
   // closure. The bodies themselves never allocate: a throw between barrier
-  // phases would strand the sibling parts at the barrier.
+  // phases would strand the sibling parts at the barrier. Panels are packed
+  // at the slab's depth (kc <= min(k, KC)), so the sizes follow the call.
   const int parts = decide_parts(g, fused);
-  thread_local std::vector<double> t_shared_b;
-  thread_local std::vector<double> t_a_packs;  // one private slab per part
-  t_shared_b.resize(b_pack_len());
-  double* b_pack = t_shared_b.data();
-  t_a_packs.resize(a_pack_len() * (fused ? 1 : static_cast<std::size_t>(parts)));
-  double* a_packs = t_a_packs.data();
+  const std::size_t kc_max = std::min(g.k, KC);
+  const std::size_t b_len = (std::min(g.n, NC) + NR - 1) / NR * NR * kc_max;
+  const std::size_t a_len = (std::min(g.m, MC) + MR - 1) / MR * MR * kc_max;
+  const std::size_t a_slabs = fused ? 1 : static_cast<std::size_t>(parts);
+  thread_local PackScratch t_scratch;
+  double* b_pack = t_scratch.get(b_len + a_len * a_slabs);
+  double* a_packs = b_pack + b_len;  // one private slab per strided part
+  const MicroKernel kernel = kernel_for(path);
 
   if (parts <= 1) {
     const SyncCtx ctx{};
     if (fused) {
-      fused_body(g, a_packs, b_pack, 0, 1, ctx);
+      fused_body(g, kernel, a_packs, b_pack, 0, 1, ctx);
     } else {
-      strided_body(g, b_pack, a_packs, 0, 1, ctx);
+      strided_body(g, kernel, b_pack, a_packs, 0, 1, ctx);
     }
     return;
   }
@@ -304,11 +475,11 @@ void run_engine(const EngineArgs& g) {
   const SyncCtx ctx{&bar};
   ThreadPool::local().run(parts, [&](int part) {
     if (fused) {
-      fused_body(g, a_packs, b_pack, part, parts, ctx);
+      fused_body(g, kernel, a_packs, b_pack, part, parts, ctx);
     } else {
-      strided_body(g, b_pack,
-                   a_packs + a_pack_len() * static_cast<std::size_t>(part),
-                   part, parts, ctx);
+      strided_body(g, kernel, b_pack,
+                   a_packs + a_len * static_cast<std::size_t>(part), part,
+                   parts, ctx);
     }
   });
 }

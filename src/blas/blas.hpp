@@ -5,9 +5,17 @@
 /// The paper's local computations are "cast in terms of BLAS3 routines to
 /// exploit optimized, architecture-specific kernels" (Sec. I). This module
 /// provides those routines from scratch: a cache-blocked, packing GEMM with
-/// a register-tiled microkernel, SYRK (both the paper's default
+/// an 8x8 register-tiled microkernel, SYRK (both the paper's default
 /// full-storage variant and a symmetry-exploiting variant for the Sec. IX
-/// ablation), GEMV, and level-1 operations.
+/// ablation), and level-1 operations.
+///
+/// The microkernel is picked once per process from what the CPU supports:
+/// AVX-512F, else AVX2+FMA, else portable loops (the only path off x86-64;
+/// blas/kernel_core.hpp). The default build needs no -march flag for this.
+/// The two SIMD paths give bit-identical results; the portable path can
+/// differ from them in the last bits, because a default build rounds each
+/// of its products before adding it. Within one path, results do not
+/// depend on the thread count or the batch split.
 ///
 /// Conventions follow BLAS: column-major storage with leading dimensions,
 /// but 0-based std::size_t sizes. All kernels count flops into a global

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "blas/blas.hpp"
+#include "blas/kernel_core.hpp"
 #include "test_utils.hpp"
 #include "util/rng.hpp"
 
@@ -39,7 +40,7 @@ std::vector<double> random_buffer(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Parameter: (m, n, k) — includes microkernel edges (MR=4, NR=8) and odd
+/// Parameter: (m, n, k) — includes microkernel edges (MR=NR=8) and odd
 /// shapes.
 class GemmShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
@@ -200,9 +201,9 @@ TEST(GemmThreads, MultiThreadedMatchesSingleThreaded) {
   // Sec. IX intra-kernel threading must be bit-compatible in structure:
   // disjoint column stripes run the identical kernel, so results match the
   // single-threaded run exactly.
-  const std::size_t m = 96;
-  const std::size_t n = 150;
-  const std::size_t k = 170;  // m*n*k > threshold so threading engages
+  const std::size_t m = 208;
+  const std::size_t n = 230;
+  const std::size_t k = 400;  // 2*m*n*k > threshold so threading engages
   const auto a = random_buffer(m * k, 21);
   const auto b = random_buffer(k * n, 22);
   for (Trans ta : {Trans::No, Trans::Yes}) {
@@ -225,9 +226,9 @@ TEST(GemmThreads, MultiThreadedMatchesSingleThreaded) {
 }
 
 TEST(GemmThreads, FlopCountIndependentOfThreading) {
-  const std::size_t m = 128;
-  const std::size_t n = 128;
-  const std::size_t k = 128;
+  const std::size_t m = 272;  // 2*m*n*k > threshold so threading engages
+  const std::size_t n = 272;
+  const std::size_t k = 272;
   const auto a = random_buffer(m * k, 1);
   const auto b = random_buffer(k * n, 2);
   std::vector<double> c(m * n, 0.0);
@@ -341,7 +342,7 @@ void ref_gemm_batch(Trans ta, Trans tb, std::size_t m, std::size_t n,
 }
 
 /// Parameter: (m, n, k, batch) with ragged sizes — none a multiple of the
-/// MR=4 / NR=8 / KC=256 blocking, plus KC-crossing contractions.
+/// MR=NR=8 / KC=256 blocking, plus KC-crossing contractions.
 class BatchShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
 
@@ -515,11 +516,13 @@ TEST(Syrk, SymmetrizeFromLowerTiledMatchesNaive) {
 TEST(GemmThreads, BatchedPathsMatchAcrossThreadCounts) {
   // The batched entry points must be bit-deterministic in the thread count,
   // exactly like plain gemm: tile ownership moves, arithmetic does not.
-  const std::size_t m = 64;
-  const std::size_t n = 30;
-  const std::size_t k = 64;
-  const std::size_t batch = 32;  // aggregate flops cross the 4e6 threshold
-                                 // for the gemm AND the (halved) syrk model
+  // Aggregate flops cross kThreadFlopThreshold for the gemm AND the
+  // (halved) syrk model, and each fused syrk slab (one item, k = KC)
+  // crosses kThreadFlopsPerSlabMin.
+  const std::size_t m = 160;
+  const std::size_t n = 60;
+  const std::size_t k = 256;
+  const std::size_t batch = 8;
   const auto a = random_buffer(m * k * batch, 51);
   const auto b = random_buffer(k * n, 52);
   std::vector<double> c1(m * n * batch);
@@ -539,6 +542,248 @@ TEST(GemmThreads, BatchedPathsMatchAcrossThreadCounts) {
   blas::set_gemm_threads(1);
   EXPECT_EQ(testing::max_diff(c1.data(), c4.data(), m * n * batch), 0.0);
   EXPECT_EQ(testing::max_diff(g1.data(), g4.data(), m * m), 0.0);
+}
+
+// --- microkernel paths ------------------------------------------------------
+//
+// The engine runs one of three microkernel bodies (blas/kernel_core.hpp).
+// These cases run each body this CPU supports on the same requests, through
+// detail::run_engine's explicit-path overload, and skip the others. Nothing
+// here assumes the portable body is uncontracted: a -march=native build may
+// compile its multiply-add into FMA.
+
+using blas::detail::EngineArgs;
+using blas::detail::KernelPath;
+
+constexpr KernelPath kAllPaths[] = {KernelPath::Portable, KernelPath::Avx2,
+                                    KernelPath::Avx512};
+
+const char* path_name(KernelPath p) {
+  switch (p) {
+    case KernelPath::Portable:
+      return "portable";
+    case KernelPath::Avx2:
+      return "avx2";
+    case KernelPath::Avx512:
+      return "avx512";
+  }
+  return "?";
+}
+
+/// One engine request with its own operands. The C buffer covers every
+/// item; run() returns the C the request leaves behind.
+struct EngineCase {
+  std::string name;
+  EngineArgs args;
+  std::vector<double> a;
+  std::vector<double> b;  // empty when op(B) reads A (syrk)
+  std::vector<double> c0;
+  std::size_t k_sum = 0;  // contraction length each element accumulates
+
+  std::vector<double> run(KernelPath path) const { return run(path, args); }
+
+  std::vector<double> run(KernelPath path, EngineArgs g) const {
+    std::vector<double> c = c0;
+    g.a = a.data();
+    g.b = b.empty() ? a.data() : b.data();
+    g.c = c.data();
+    blas::detail::run_engine(g, path);
+    return c;
+  }
+
+  /// |alpha| * sum_l |op(A)(i,l)| |op(B)(l,j)| for every element of C, from
+  /// the portable body on |A| and |B| (its own rounding is far below the
+  /// tolerance this feeds).
+  std::vector<double> abs_products() const {
+    EngineCase abs_case = *this;
+    for (double& x : abs_case.a) x = std::fabs(x);
+    for (double& x : abs_case.b) x = std::fabs(x);
+    std::fill(abs_case.c0.begin(), abs_case.c0.end(), 0.0);
+    EngineArgs g = args;
+    g.alpha = std::fabs(args.alpha);
+    g.beta = 0.0;
+    return abs_case.run(KernelPath::Portable, g);
+  }
+};
+
+EngineCase gemm_case(Trans ta, Trans tb, std::size_t m, std::size_t n,
+                     std::size_t k, std::size_t batch, bool fused_c,
+                     double beta, std::uint64_t seed) {
+  EngineCase ec;
+  ec.name = "gemm m" + std::to_string(m) + " n" + std::to_string(n) + " k" +
+            std::to_string(k) + " batch" + std::to_string(batch) +
+            (batch > 1 ? (fused_c ? " fused" : " strided") : "") + " ta" +
+            std::to_string(static_cast<int>(ta)) + " tb" +
+            std::to_string(static_cast<int>(tb)) + " beta" +
+            std::to_string(beta);
+  EngineArgs& g = ec.args;
+  g.ta = ta;
+  g.tb = tb;
+  g.m = m;
+  g.n = n;
+  g.k = k;
+  g.alpha = 1.3;
+  g.beta = beta;
+  g.lda = ta == Trans::No ? m : k;
+  g.ldb = tb == Trans::No ? k : n;
+  g.ldc = m;
+  g.batch = batch;
+  g.stride_a = g.lda * (ta == Trans::No ? k : m);
+  // Fused batches read one B per item; strided batches share one B.
+  g.stride_b = fused_c ? g.ldb * (tb == Trans::No ? n : k) : 0;
+  g.stride_c = fused_c ? 0 : m * n;
+  ec.a = random_buffer(g.stride_a * batch, seed);
+  ec.b = random_buffer(g.ldb * (tb == Trans::No ? n : k) *
+                           (fused_c ? batch : 1),
+                       seed + 1);
+  ec.c0 = random_buffer(m * n * (fused_c ? 1 : batch), seed + 2);
+  ec.k_sum = fused_c ? k * batch : k;
+  return ec;
+}
+
+/// The syrk_lower request: op(B) = op(A)^T read from the same buffer.
+EngineCase syrk_case(Trans trans, std::size_t n, std::size_t k,
+                     std::size_t batch, double beta, std::uint64_t seed) {
+  EngineCase ec;
+  ec.name = "syrk n" + std::to_string(n) + " k" + std::to_string(k) +
+            " batch" + std::to_string(batch) + " trans" +
+            std::to_string(static_cast<int>(trans)) + " beta" +
+            std::to_string(beta);
+  EngineArgs& g = ec.args;
+  g.ta = trans;
+  g.tb = trans == Trans::No ? Trans::Yes : Trans::No;
+  g.m = n;
+  g.n = n;
+  g.k = k;
+  g.alpha = 0.7;
+  g.beta = beta;
+  g.lda = trans == Trans::No ? n : k;
+  g.ldb = g.lda;
+  g.stride_a = n * k;
+  g.stride_b = n * k;
+  g.ldc = n;
+  g.batch = batch;
+  g.lower_only = true;
+  ec.a = random_buffer(n * k * batch, seed);
+  ec.c0 = random_buffer(n * n, seed + 2);
+  ec.k_sum = k * batch;
+  return ec;
+}
+
+/// Ragged requests of every engine shape: m, n, k not multiples of 8,
+/// k > KC, n > NC and m > MC, each Trans combination and beta in
+/// {0, 1, 0.5}; fused, strided and lower_only batches.
+std::vector<EngineCase> ragged_cases() {
+  struct Shape {
+    std::size_t m, n, k, batch;
+    bool fused_c;
+  };
+  const Shape gemm_shapes[] = {
+      {13, 11, 7, 1, true},    {29, 37, 300, 1, true},
+      {9, 2061, 5, 1, true},   {139, 10, 17, 1, true},
+      {21, 19, 13, 3, true},   {10, 9, 270, 2, true},
+      {19, 13, 11, 4, false},  {140, 10, 260, 2, false},
+      {3, 2053, 4, 2, false},
+  };
+  const std::size_t syrk_shapes[][3] = {
+      {37, 29, 1}, {45, 300, 2}, {150, 19, 3}, {5, 3, 1}};
+  std::vector<EngineCase> cases;
+  std::uint64_t seed = 100;
+  for (double beta : {0.0, 1.0, 0.5}) {
+    for (Trans ta : {Trans::No, Trans::Yes}) {
+      for (Trans tb : {Trans::No, Trans::Yes}) {
+        for (const Shape& s : gemm_shapes) {
+          cases.push_back(gemm_case(ta, tb, s.m, s.n, s.k, s.batch, s.fused_c,
+                                    beta, seed += 3));
+        }
+      }
+      for (const auto& s : syrk_shapes) {
+        cases.push_back(syrk_case(ta, s[0], s[1], s[2], beta, seed += 3));
+      }
+    }
+  }
+  return cases;
+}
+
+/// Requests large enough that gemm_threads > 1 forks (aggregate flops and
+/// flops per KC slab above kernel_core.hpp's thresholds).
+std::vector<EngineCase> threaded_cases() {
+  std::vector<EngineCase> cases;
+  cases.push_back(
+      gemm_case(Trans::No, Trans::Yes, 211, 203, 400, 1, true, 0.5, 7));
+  cases.push_back(
+      gemm_case(Trans::Yes, Trans::No, 150, 140, 128, 8, true, 1.0, 8));
+  cases.push_back(
+      gemm_case(Trans::No, Trans::Yes, 150, 60, 100, 20, false, 0.0, 9));
+  cases.push_back(syrk_case(Trans::No, 260, 600, 1, 0.5, 10));
+  cases.push_back(syrk_case(Trans::Yes, 160, 256, 8, 0.0, 11));
+  return cases;
+}
+
+TEST(KernelDispatch, PortableRunsEverywhereAndIsNeverAboveTheBest) {
+  EXPECT_TRUE(blas::detail::kernel_path_supported(KernelPath::Portable));
+  const KernelPath best = blas::detail::best_kernel_path();
+  EXPECT_TRUE(blas::detail::kernel_path_supported(best));
+  for (KernelPath p : kAllPaths) {
+    if (blas::detail::kernel_path_supported(p)) {
+      EXPECT_LE(static_cast<int>(p), static_cast<int>(best)) << path_name(p);
+    }
+  }
+}
+
+TEST(KernelDispatch, SimdPathsAgreeBitwise) {
+  if (!blas::detail::kernel_path_supported(KernelPath::Avx2) ||
+      !blas::detail::kernel_path_supported(KernelPath::Avx512)) {
+    GTEST_SKIP() << "needs both AVX2+FMA and AVX-512F";
+  }
+  for (const EngineCase& ec : ragged_cases()) {
+    const auto c2 = ec.run(KernelPath::Avx2);
+    const auto c512 = ec.run(KernelPath::Avx512);
+    EXPECT_EQ(testing::max_diff(c2.data(), c512.data(), c2.size()), 0.0)
+        << ec.name;
+  }
+}
+
+TEST(KernelDispatch, SimdPathsWithinFmaRoundingOfPortable) {
+  // Per element, FMA drops one rounding per product: over k products the
+  // two sums part by at most about 2*k*u*sum|a||b| before alpha, plus a
+  // rounding of the beta*C + alpha*acc write-back.
+  constexpr double u = 0x1.0p-53;
+  bool ran = false;
+  for (KernelPath p : {KernelPath::Avx2, KernelPath::Avx512}) {
+    if (!blas::detail::kernel_path_supported(p)) continue;
+    ran = true;
+    for (const EngineCase& ec : ragged_cases()) {
+      const auto ref = ec.run(KernelPath::Portable);
+      const auto got = ec.run(p);
+      const auto abs = ec.abs_products();
+      const double k = static_cast<double>(ec.k_sum);
+      std::size_t bad = 0;
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        const double tol = 2.0 * k * u * abs[i] + 2.0 * u * std::fabs(ref[i]);
+        if (std::fabs(got[i] - ref[i]) > tol) ++bad;
+      }
+      EXPECT_EQ(bad, 0u) << path_name(p) << " " << ec.name;
+    }
+  }
+  if (!ran) GTEST_SKIP() << "no SIMD path on this CPU";
+}
+
+TEST(KernelDispatch, EachPathBitIdenticalAcrossThreadCounts) {
+  for (KernelPath p : kAllPaths) {
+    if (!blas::detail::kernel_path_supported(p)) continue;
+    for (const EngineCase& ec : threaded_cases()) {
+      blas::set_gemm_threads(1);
+      const auto c1 = ec.run(p);
+      for (int threads : {2, 3}) {
+        blas::set_gemm_threads(threads);
+        const auto ct = ec.run(p);
+        EXPECT_EQ(testing::max_diff(c1.data(), ct.data(), c1.size()), 0.0)
+            << path_name(p) << " threads=" << threads << " " << ec.name;
+      }
+    }
+  }
+  blas::reset_gemm_threads();
 }
 
 }  // namespace

@@ -18,9 +18,9 @@ using testing::run_ranks;
 
 /// One full ST-HOSVD under the given thread count and factor route; returns
 /// the core and factors flattened for bitwise comparison. Sizes are chosen so
-/// the mode-0 Gram (2 * 48^2 * 2304 ≈ 10.6 MF) crosses the 4e6
-/// aggregate-flop threshold and the threaded engine actually engages — in
-/// the sketch route too (cross-Grams and power-iteration TTMs).
+/// the mode-0 Gram (136^2 * 2304 ≈ 43 MF in the halved syrk model, 4.7 MF
+/// per KC slab) crosses both threading thresholds of blas/kernel_core.hpp
+/// and the threaded engine actually engages.
 std::vector<double> sthosvd_bits(
     int threads, core::FactorMethod method = core::FactorMethod::GramEig) {
   blas::set_gemm_threads(threads);
@@ -28,7 +28,7 @@ std::vector<double> sthosvd_bits(
   run_ranks(1, [&](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {1, 1, 1});
     const DistTensor x =
-        data::make_low_rank(grid, Dims{48, 48, 48}, Dims{8, 8, 8}, 5, 0.01);
+        data::make_low_rank(grid, Dims{136, 48, 48}, Dims{8, 8, 8}, 5, 0.01);
     core::SthosvdOptions opts;
     opts.fixed_ranks = {8, 8, 8};
     opts.factor_method = method;

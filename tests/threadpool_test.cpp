@@ -44,7 +44,7 @@ TEST(ThreadPool, WorkersPersistAcrossKernelCalls) {
   // per call. Prime one threaded call, snapshot the global spawn counter,
   // then hammer the kernel — the counter must not move.
   blas::set_gemm_threads(3);
-  const std::size_t n = 160;  // 2n^3 > 4e6: threading engages
+  const std::size_t n = 256;  // 2n^3 > kThreadFlopThreshold: threading engages
   std::vector<double> a(n * n);
   std::vector<double> b(n * n);
   std::vector<double> c(n * n);
