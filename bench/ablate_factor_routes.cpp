@@ -26,7 +26,7 @@ namespace {
 double time_route(mps::Runtime& rt, std::vector<dist::DistTensor>& xs,
                   int mode, const dist::RankSelection& select,
                   int route,  // 0 = gram, 1 = tsqr, 2 = randomized
-                  const dist::SketchOptions& sketch, int reps) {
+                  int reps) {
   double t_out = 0.0;
   rt.run([&](mps::Comm& comm) {
     auto& x = xs[static_cast<std::size_t>(comm.rank())];
@@ -42,7 +42,7 @@ double time_route(mps::Runtime& rt, std::vector<dist::DistTensor>& xs,
             (void)dist::factor_via_tsqr(x, mode, select);
             break;
           default:
-            (void)dist::factor_via_sketch(x, mode, select, sketch);
+            (void)dist::factor_via_sketch(x, mode, select);
         }
       }
     });
@@ -52,11 +52,11 @@ double time_route(mps::Runtime& rt, std::vector<dist::DistTensor>& xs,
 }
 
 const char* auto_pick(const tensor::Dims& dims, int mode, std::size_t rank,
-                      const dist::SketchOptions& sketch,
                       const std::vector<int>& shape) {
   const std::size_t jn = dims[static_cast<std::size_t>(mode)];
-  const std::size_t w = dist::sketch_width(jn, rank, sketch);
-  if (costmodel::prefer_sketch(dims, mode, w, sketch.power_iterations, shape))
+  const std::size_t w = dist::sketch_width(jn, rank);
+  if (costmodel::prefer_sketch(dims, mode, w, dist::kSketchPowerIterations,
+                               shape))
     return "randomized";
   return costmodel::prefer_tsqr(dims, mode, shape) ? "tsqr" : "gram";
 }
@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
   PT_REQUIRE(p == 8, "ablation uses a fixed 2x2x2 grid (8 ranks)");
   const tensor::Dims dims{skinny, dim, dim};
   const std::vector<int> shape{2, 2, 2};
-  const dist::SketchOptions sketch;  // defaults: p = 8, q = 1
 
   bench::header("Ablation: factor routes",
                 "Gram+eig vs TSQR+SVD vs randomized sketch per mode of " +
@@ -98,14 +97,14 @@ int main(int argc, char** argv) {
           grid, dims, tensor::Dims{4, 8, 8}, 3, 0.01);
     });
 
-    const double t_gram = time_route(rt, xs, mode, select, 0, sketch, 3);
-    const double t_tsqr = time_route(rt, xs, mode, select, 1, sketch, 3);
-    const double t_rand = time_route(rt, xs, mode, select, 2, sketch, 3);
+    const double t_gram = time_route(rt, xs, mode, select, 0, 3);
+    const double t_tsqr = time_route(rt, xs, mode, select, 1, 3);
+    const double t_rand = time_route(rt, xs, mode, select, 2, 3);
     table.add_row({std::to_string(mode), std::to_string(jn),
                    util::Table::fmt(t_gram, 4), util::Table::fmt(t_tsqr, 4),
                    util::Table::fmt(t_rand, 4),
-                   std::to_string(dist::sketch_width(jn, rank, sketch)),
-                   auto_pick(dims, mode, rank, sketch, shape)});
+                   std::to_string(dist::sketch_width(jn, rank)),
+                   auto_pick(dims, mode, rank, shape)});
   }
   std::printf("%s", table.str().c_str());
 
@@ -115,7 +114,7 @@ int main(int argc, char** argv) {
   // w = rank + oversample, so past the crossover it wins by a growing ratio.
   bench::header("Crossover: mode-0 extent sweep",
                 "fixed rank 8, sketch width " +
-                    std::to_string(dist::sketch_width(256, 8, sketch)) +
+                    std::to_string(dist::sketch_width(256, 8)) +
                     ", q = 1, modes 1-2 at 48");
   util::Table sweep({"J0", "gram(s)", "tsqr(s)", "rand(s)", "rand speedup",
                      "auto picks"});
@@ -130,14 +129,14 @@ int main(int argc, char** argv) {
       xs[static_cast<std::size_t>(comm.rank())] = data::make_low_rank(
           grid, sdims, tensor::Dims{8, 8, 8}, 3, 0.01);
     });
-    const double t_gram = time_route(rt, xs, 0, select, 0, sketch, 3);
-    const double t_tsqr = time_route(rt, xs, 0, select, 1, sketch, 3);
-    const double t_rand = time_route(rt, xs, 0, select, 2, sketch, 3);
+    const double t_gram = time_route(rt, xs, 0, select, 0, 3);
+    const double t_tsqr = time_route(rt, xs, 0, select, 1, 3);
+    const double t_rand = time_route(rt, xs, 0, select, 2, 3);
     const double best_exact = std::min(t_gram, t_tsqr);
     sweep.add_row({std::to_string(d0), util::Table::fmt(t_gram, 4),
                    util::Table::fmt(t_tsqr, 4), util::Table::fmt(t_rand, 4),
                    util::Table::fmt(best_exact / t_rand, 2) + "x",
-                   auto_pick(sdims, 0, 8, sketch, shape)});
+                   auto_pick(sdims, 0, 8, shape)});
   }
   std::printf("%s", sweep.str().c_str());
 

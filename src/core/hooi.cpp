@@ -53,20 +53,14 @@ HooiResult hooi(const DistTensor& x, const SthosvdOptions& init_options,
       y = dist::ttm_chain(x, ptrs, ttm_order);
 
       const std::size_t rank = ranks[static_cast<std::size_t>(n)];
-      const dist::RankSelection select = dist::RankSelection::fixed_rank(rank);
+      // Fixed-rank selection: eps plays no part in the route, and the
+      // sketch is always certified.
       const FactorRoute route = resolve_factor_route(
-          options.factor_method, y, n, options.sketch, 0.0, rank);
-      dist::FactorResult factor;
-      if (route == FactorRoute::Randomized) {
-        // Fixed-rank selection: the sketch result is always certified.
-        factor = dist::factor_via_sketch(y, n, select, options.sketch).factor;
-      } else if (route == FactorRoute::Tsqr) {
-        factor = dist::factor_via_tsqr(y, n, select);
-      } else {
-        const dist::GramColumns s = dist::gram(y, n);
-        factor = dist::eigenvectors(s, y.grid(), n, select);
-      }
-      factors[static_cast<std::size_t>(n)] = std::move(factor.u);
+          init_options.factor_method, y, n, 0.0, rank);
+      factors[static_cast<std::size_t>(n)] =
+          detail::factor_mode(y, n, route,
+                              dist::RankSelection::fixed_rank(rank))
+              .factor.u;
     }
     // Core: the last working tensor already has every product but mode N
     // (Alg. 2 line 9 exploits this).
@@ -80,10 +74,6 @@ HooiResult hooi(const DistTensor& x, const SthosvdOptions& init_options,
 
     const double improvement = err_sq - new_err_sq;
     err_sq = new_err_sq;
-    if (options.target_error > 0.0 &&
-        new_err_sq <= options.target_error * options.target_error) {
-      break;
-    }
     if (improvement < options.improvement_tol) break;
   }
   return result;

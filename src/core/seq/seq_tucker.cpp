@@ -6,7 +6,7 @@
 #include "blas/blas.hpp"
 #include "core/metrics.hpp"
 #include "core/mode_order.hpp"
-#include "dist/eigenvectors.hpp"
+#include "dist/sketch.hpp"
 #include "util/rng.hpp"
 
 namespace ptucker::core::seq {
@@ -54,9 +54,8 @@ Matrix materialize_unfolding(const Tensor& y, int mode) {
 /// index c and unfolding column gj equal to Omega(gj, c) — the same
 /// counter-based field the distributed route evaluates blockwise, with the
 /// same first-fastest column convention gj = left + right * prod(left dims).
-Tensor omega_tensor(const Dims& dims, int mode, std::size_t width,
-                    std::uint64_t seed) {
-  const util::SketchRng rng(seed, mode);
+Tensor omega_tensor(const Dims& dims, int mode, std::size_t width) {
+  const util::SketchRng rng(dist::kSketchSeed, mode);
   const int order = static_cast<int>(dims.size());
   std::vector<std::size_t> stride(dims.size(), 0);
   std::size_t gl_prod = 1;
@@ -105,17 +104,16 @@ Matrix orthonormalize(const Matrix& s) {
 /// certify the eq. 3 budget (residual alone exceeds it) — the caller falls
 /// back and records the downgrade.
 ModeFactor randomized_factor(const Tensor& y, int mode, std::size_t fixed_rank,
-                             double tail_threshold,
-                             const dist::SketchOptions& sketch) {
+                             double tail_threshold) {
   const std::size_t jn = y.dim(mode);
   const std::size_t jhat = tensor::prod_except(y.dims(), mode);
   const std::size_t width =
-      std::min(dist::sketch_width(jn, std::min(fixed_rank, jn), sketch),
+      std::min(dist::sketch_width(jn, std::min(fixed_rank, jn)),
                std::max<std::size_t>(1, jhat));
 
-  const Tensor omega = omega_tensor(y.dims(), mode, width, sketch.seed);
+  const Tensor omega = omega_tensor(y.dims(), mode, width);
   Matrix q = orthonormalize(tensor::local_cross_gram(y, omega, mode));
-  for (int pass = 0; pass < sketch.power_iterations; ++pass) {
+  for (int pass = 0; pass < dist::kSketchPowerIterations; ++pass) {
     const Tensor z = tensor::local_ttm(y, q.transposed(), mode);
     q = orthonormalize(tensor::local_cross_gram(y, z, mode));
   }
@@ -158,49 +156,26 @@ ModeFactor randomized_factor(const Tensor& y, int mode, std::size_t fixed_rank,
 /// Leading left singular subspace of the mode-n unfolding of y, with rank
 /// chosen by tail threshold or fixed. `used` records the method that
 /// actually ran; when it differs from \p method the caller records a
-/// downgrade (SvdQr on a non-wide unfolding, or the sketch eps fallback).
+/// downgrade (the sketch eps fallback).
 ModeFactor leading_factor(const Tensor& y, int mode, FactorMethod method,
-                          std::size_t fixed_rank, double tail_threshold,
-                          const dist::SketchOptions& sketch) {
-  const std::size_t jn = y.dim(mode);
-
-  const tensor::UnfoldShape pre = tensor::unfold_shape(y.dims(), mode);
-  if (method == FactorMethod::SvdQr && pre.left * pre.right < jn) {
-    // QR route needs a wide unfolding; degenerate shapes use the Gram route.
-    method = FactorMethod::GramEig;
-  }
+                          std::size_t fixed_rank, double tail_threshold) {
   if (method == FactorMethod::Randomized) {
-    ModeFactor out =
-        randomized_factor(y, mode, fixed_rank, tail_threshold, sketch);
+    ModeFactor out = randomized_factor(y, mode, fixed_rank, tail_threshold);
     if (out.used == FactorMethod::Randomized) return out;
-    method = FactorMethod::GramEig;  // eps-tail fallback
   }
 
+  const std::size_t jn = y.dim(mode);
   ModeFactor out;
-  out.used = method;
-  Matrix basis;  // jn x jn orthonormal columns, leading first
-  if (method == FactorMethod::SvdQr) {
-    const Matrix unf = materialize_unfolding(y, mode);
-    la::LeftSvd svd = la::left_svd_via_qr(unf.data(), jn, unf.cols(), jn);
-    out.spectrum.resize(jn);
-    for (std::size_t i = 0; i < jn; ++i) {
-      out.spectrum[i] = svd.singular_values[i] * svd.singular_values[i];
-    }
-    basis = Matrix(jn, jn);
-    blas::copy(svd.u.size(), svd.u.data(), basis.data());
-  } else {
-    const Matrix gram = tensor::local_gram(y, mode);
-    la::SymEig eig = la::eig_sym(gram.data(), jn, jn);
-    out.spectrum = std::move(eig.values);
-    basis = Matrix(jn, jn);
-    blas::copy(eig.vectors.size(), eig.vectors.data(), basis.data());
-  }
-
+  const Matrix gram = tensor::local_gram(y, mode);
+  la::SymEig eig = la::eig_sym(gram.data(), jn, jn);
+  out.spectrum = std::move(eig.values);
   const std::size_t rank =
       fixed_rank > 0
           ? std::min(fixed_rank, jn)
           : dist::select_rank_by_tail(out.spectrum, tail_threshold);
-  out.u = basis.col_block(util::Range{0, rank});
+  // The leading eigenvectors are the first rank (contiguous) columns.
+  out.u = Matrix(jn, rank);
+  blas::copy(jn * rank, eig.vectors.data(), out.u.data());
   canonicalize(out.u);
   return out;
 }
@@ -236,14 +211,12 @@ SeqResult seq_st_hosvd(const Tensor& x, const SeqOptions& options) {
         options.fixed_ranks.empty()
             ? 0
             : options.fixed_ranks[static_cast<std::size_t>(n)];
-    ModeFactor factor = leading_factor(y, n, options.method, fixed,
-                                       tail_threshold, options.sketch);
+    ModeFactor factor =
+        leading_factor(y, n, options.method, fixed, tail_threshold);
     if (factor.used != options.method) {
       result.downgrades.push_back(
           {n, options.method, factor.used,
-           options.method == FactorMethod::SvdQr
-               ? "unfolding not wide (Jhat_n < Jn): QR route undefined"
-               : "sketch residual exceeds the eq. 3 per-mode budget"});
+           "sketch residual exceeds the eq. 3 per-mode budget"});
     }
     result.mode_methods[static_cast<std::size_t>(n)] = factor.used;
     tail_total += factor.residual;

@@ -7,12 +7,11 @@
 ///  1. cross-validation oracle for the distributed algorithms (the property
 ///     tests demand bit-for-bit-comparable errors across all grids),
 ///  2. the single-node baseline for the scaling benches, and
-///  3. the Sec. IX ablation host for the Gram-free SVD and randomized
-///     sketch factor computations.
+///  3. the Sec. IX ablation host for the randomized sketch factor
+///     computation.
 
 #include <string>
 
-#include "dist/sketch.hpp"
 #include "lapack/lapack.hpp"
 #include "tensor/local_kernels.hpp"
 
@@ -24,15 +23,13 @@ using tensor::Tensor;
 
 enum class FactorMethod {
   GramEig,    ///< Gram matrix + symmetric eigensolver (paper default)
-  SvdQr,      ///< QR of the unfolding's transpose + small SVD (Sec. IX)
   Randomized, ///< sketch Y(n)*Omega -> thin QR -> project -> small SVD,
               ///< mirroring the distributed route entry for entry (same
-              ///< counter-based Omega per (seed, mode))
+              ///< counter-based Omega per mode)
 };
 
-/// A mode whose requested method could not run (SvdQr on a degenerate
-/// non-wide unfolding, or a sketch that failed the eq. 3 posteriori check)
-/// and was replaced by the Gram route. Recorded, never silent.
+/// A mode whose sketch failed the eq. 3 posteriori check and was replaced
+/// by the Gram route. Recorded, never silent.
 struct SeqDowngrade {
   int mode = -1;
   FactorMethod requested = FactorMethod::GramEig;
@@ -53,11 +50,9 @@ struct SeqOptions {
   std::vector<std::size_t> fixed_ranks;
   /// Mode processing order; empty means natural (see SthosvdOptions).
   std::vector<int> mode_order;
+  /// The randomized method shares the distributed route's fixed settings
+  /// (dist/sketch.hpp), so both sketch against the same Omega.
   FactorMethod method = FactorMethod::GramEig;
-  /// Knobs for FactorMethod::Randomized; the seed and width conventions are
-  /// shared with the distributed route, so at a fixed (seed, mode) both
-  /// sketch against the same Omega.
-  dist::SketchOptions sketch;
 };
 
 struct SeqResult {

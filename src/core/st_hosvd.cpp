@@ -4,13 +4,14 @@
 
 #include "core/mode_order.hpp"
 #include "costmodel/tucker_model.hpp"
+#include "dist/sketch.hpp"
 #include "obs/trace.hpp"
 
 namespace ptucker::core {
 
 FactorRoute resolve_factor_route(FactorMethod method, const DistTensor& y,
-                                 int mode, const dist::SketchOptions& sketch,
-                                 double epsilon, std::size_t fixed_rank) {
+                                 int mode, double epsilon,
+                                 std::size_t fixed_rank) {
   switch (method) {
     case FactorMethod::GramEig:
       return FactorRoute::Gram;
@@ -24,12 +25,12 @@ FactorRoute resolve_factor_route(FactorMethod method, const DistTensor& y,
       // eps leaves slack for the sketch residual. A tight eps would
       // routinely reject the sketch and pay for both routes.
       const bool sketch_eligible =
-          fixed_rank > 0 || epsilon >= sketch.auto_min_epsilon;
+          fixed_rank > 0 || epsilon >= dist::kSketchAutoMinEpsilon;
       if (sketch_eligible) {
         const std::size_t width =
-            dist::sketch_width(y.global_dim(mode), fixed_rank, sketch);
+            dist::sketch_width(y.global_dim(mode), fixed_rank);
         if (costmodel::prefer_sketch(y.global_dims(), mode, width,
-                                     sketch.power_iterations,
+                                     dist::kSketchPowerIterations,
                                      y.grid().shape())) {
           return FactorRoute::Randomized;
         }
@@ -41,6 +42,40 @@ FactorRoute resolve_factor_route(FactorMethod method, const DistTensor& y,
   }
   return FactorRoute::Gram;
 }
+
+namespace detail {
+
+ModeFactor factor_mode(const DistTensor& y, int n, FactorRoute route,
+                       const dist::RankSelection& select) {
+  ModeFactor out;
+  out.route = route;
+  if (route == FactorRoute::Randomized) {
+    dist::SketchFactorResult sk = [&] {
+      obs::Span span("Sketch", n);
+      return dist::factor_via_sketch(y, n, select);
+    }();
+    if (sk.certified) {
+      out.factor = std::move(sk.factor);
+      out.residual_energy = sk.residual_energy;
+      return out;
+    }
+    out.route = FactorRoute::Gram;
+  }
+  if (out.route == FactorRoute::Tsqr) {
+    obs::Span span("TSQR", n);
+    out.factor = dist::factor_via_tsqr(y, n, select);
+  } else {
+    const dist::GramColumns s = [&] {
+      obs::Span span("Gram", n);
+      return dist::gram(y, n);
+    }();
+    obs::Span span("Evecs", n);
+    out.factor = dist::eigenvectors(s, y.grid(), n, select);
+  }
+  return out;
+}
+
+}  // namespace detail
 
 SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
   const int order = x.order();
@@ -84,42 +119,18 @@ SthosvdResult st_hosvd(const DistTensor& x, const SthosvdOptions& options) {
         options.fixed_ranks.empty()
             ? dist::RankSelection::threshold(tail_threshold)
             : dist::RankSelection::fixed_rank(fixed_rank);
-    FactorRoute route =
-        resolve_factor_route(options.factor_method, *cur, n, options.sketch,
-                             options.epsilon, fixed_rank);
-
-    dist::FactorResult factor;
-    if (route == FactorRoute::Randomized) {
-      dist::SketchFactorResult sk = [&] {
-        obs::Span span("Sketch", n);
-        return dist::factor_via_sketch(*cur, n, select, options.sketch);
-      }();
-      result.sketches.push_back({n, sk.seed, sk.width, sk.power_iterations,
-                                 !sk.certified});
-      if (sk.certified) {
-        factor = std::move(sk.factor);
-        // The energy outside the sketch subspace is part of what the
-        // truncation discards — charge it to the eq. 3 tail.
-        tail_total += sk.residual_energy;
-      } else {
-        route = FactorRoute::Gram;
-        result.downgrades.push_back(
-            {n, FactorRoute::Randomized, FactorRoute::Gram,
-             "sketch residual exceeds the eq. 3 per-mode budget"});
-      }
+    const FactorRoute requested = resolve_factor_route(
+        options.factor_method, *cur, n, options.epsilon, fixed_rank);
+    detail::ModeFactor mode_factor =
+        detail::factor_mode(*cur, n, requested, select);
+    if (mode_factor.route != requested) {
+      result.downgrades.push_back(
+          {n, requested, mode_factor.route,
+           "sketch residual exceeds the eq. 3 per-mode budget"});
     }
-    if (route == FactorRoute::Tsqr) {
-      obs::Span span("TSQR", n);
-      factor = dist::factor_via_tsqr(*cur, n, select);
-    } else if (route == FactorRoute::Gram) {
-      const dist::GramColumns s = [&] {
-        obs::Span span("Gram", n);
-        return dist::gram(*cur, n);
-      }();
-      obs::Span span("Evecs", n);
-      factor = dist::eigenvectors(s, cur->grid(), n, select);
-    }
-    result.mode_routes[static_cast<std::size_t>(n)] = route;
+    result.mode_routes[static_cast<std::size_t>(n)] = mode_factor.route;
+    tail_total += mode_factor.residual_energy;
+    dist::FactorResult& factor = mode_factor.factor;
 
     // Account the truncated tail toward the eq. (3) error bound.
     for (std::size_t i = factor.rank; i < factor.eigenvalues.size(); ++i) {

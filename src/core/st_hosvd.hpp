@@ -11,6 +11,9 @@
 /// eps^2 ||X||^2 / N tail criterion (or use a fixed rank), and truncate the
 /// working tensor with a TTM by the transposed factor. After all modes, the
 /// working tensor is the core. Satisfies ‖X − X̃‖ <= eps ‖X‖ (paper eq. 3).
+/// The per-mode factor step (detail::factor_mode) is shared with HOOI; the
+/// randomized route's settings are constants in dist/sketch.hpp, so the
+/// options are the eps target or fixed ranks, the mode order and the route.
 ///
 /// X is read in place, never copied: the first processed mode factors and
 /// truncates X itself, and each later mode reads the previous TTM output,
@@ -24,7 +27,6 @@
 #include "core/tucker_tensor.hpp"
 #include "dist/eigenvectors.hpp"
 #include "dist/gram.hpp"
-#include "dist/sketch.hpp"
 #include "dist/tsqr.hpp"
 #include "dist/ttm.hpp"
 
@@ -58,27 +60,38 @@ struct RouteDowngrade {
   std::string reason;
 };
 
-/// Observability record for each mode the randomized route attempted.
-struct SketchTrace {
-  int mode = -1;
-  std::uint64_t seed = 0;
-  std::size_t width = 0;
-  int power_iterations = 0;
-  /// True when the eps-tail check rejected the sketch and the mode fell
-  /// back to the Gram route (also recorded in downgrades).
-  bool fell_back = false;
-};
-
 /// Resolve the route for one mode of the working tensor: the explicit
 /// methods map one-to-one; Auto asks the cost model, considering the sketch
 /// only when selection is fixed-rank or eps is loose enough to leave the
-/// posteriori check headroom (sketch.auto_min_epsilon). \p fixed_rank is
-/// this mode's fixed target rank, or 0 for eps-driven selection.
+/// posteriori check headroom (dist::kSketchAutoMinEpsilon). \p fixed_rank
+/// is this mode's fixed target rank, or 0 for eps-driven selection.
 [[nodiscard]] FactorRoute resolve_factor_route(FactorMethod method,
                                                const DistTensor& y, int mode,
-                                               const dist::SketchOptions& sketch,
                                                double epsilon,
                                                std::size_t fixed_rank);
+
+namespace detail {
+
+/// One mode's factor from the per-mode step both st_hosvd and hooi run.
+struct ModeFactor {
+  dist::FactorResult factor;
+  /// Route that produced the factor: the requested one, or Gram after the
+  /// sketch's eq. 3 fallback.
+  FactorRoute route = FactorRoute::Gram;
+  /// Energy outside the sketch subspace (randomized route only), part of
+  /// what the truncation discards and so of the eq. 3 tail.
+  double residual_energy = 0.0;
+};
+
+/// Collective: the factor of mode \p n of \p y by \p route under
+/// \p select. An uncertified sketch falls back to the Gram route. Emits
+/// the per-kernel spans ("Sketch", "TSQR", "Gram", "Evecs") with the mode
+/// as their argument.
+[[nodiscard]] ModeFactor factor_mode(const DistTensor& y, int n,
+                                     FactorRoute route,
+                                     const dist::RankSelection& select);
+
+}  // namespace detail
 
 struct SthosvdOptions {
   /// Relative error target eps; used when fixed_ranks is empty.
@@ -91,10 +104,8 @@ struct SthosvdOptions {
   /// change the error guarantee, only the cost.
   std::vector<int> mode_order;
 
+  /// Route for every factor, HOOI's sweeps included.
   FactorMethod factor_method = FactorMethod::GramEig;
-  /// Knobs for FactorMethod::Randomized (seed, oversampling, power
-  /// iterations) and the Auto gate for it.
-  dist::SketchOptions sketch;
 };
 
 struct SthosvdResult {
@@ -112,9 +123,6 @@ struct SthosvdResult {
   /// route's eps-tail fallback to Gram). Empty means every mode ran the
   /// route the resolver picked.
   std::vector<RouteDowngrade> downgrades;
-  /// One record per mode the randomized route attempted (seed, width, q,
-  /// whether it fell back) — the observability trail for reproducing a run.
-  std::vector<SketchTrace> sketches;
   double norm_x = 0.0;       ///< ‖X‖
   double norm_x_sq = 0.0;    ///< ‖X‖²
   /// Upper bound on ‖X − X̃‖ / ‖X‖ from the truncated eigenvalue tails

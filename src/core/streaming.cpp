@@ -75,11 +75,10 @@ StreamingCompressor::StreamingCompressor(mps::Comm& comm,
           ? std::min(opts_.window, reader_.num_steps())
           : pick_streaming_window(sdims, dist::default_grid_shape(
                                              comm.size(), sdims),
-                                  opts_.max_window,
-                                  opts_.memory_budget_doubles,
+                                  kStreamingMaxWindow,
+                                  kStreamingMemoryBudgetDoubles,
                                   reader_.num_steps());
-  pario::archive_create(archive_path_, comm, sdims, opts_.species_mode,
-                        opts_.archive_capacity);
+  pario::archive_create(archive_path_, comm, sdims, opts_.species_mode);
 }
 
 bool StreamingCompressor::compress_next(WindowResult* out) {

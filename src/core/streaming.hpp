@@ -31,21 +31,21 @@
 
 namespace ptucker::core {
 
+/// Cap on the automatic window choice.
+inline constexpr std::size_t kStreamingMaxWindow = 32;
+/// Per-rank working-set budget (doubles) for the automatic window choice
+/// (paper eq. 2 memory bound), ~0.8 GiB of doubles.
+inline constexpr double kStreamingMemoryBudgetDoubles = 1.0e8;
+
 struct StreamingOptions {
   /// Per-window compression options (epsilon is the per-entry eq. 3 bound).
   SthosvdOptions sthosvd;
-  /// Steps per window; 0 = pick from the cost model.
+  /// Steps per window; 0 = pick from the cost model (at most
+  /// kStreamingMaxWindow steps, within kStreamingMemoryBudgetDoubles).
   std::size_t window = 0;
-  /// Cap on the automatic window choice.
-  std::size_t max_window = 32;
-  /// Per-rank working-set budget (doubles) for the automatic choice
-  /// (paper eq. 2 memory bound). Default ~0.8 GiB of doubles.
-  double memory_budget_doubles = 1.0e8;
   /// Species mode of the step tensors; >= 0 enables per-window
   /// normalization, with the stats archived in each entry.
   int species_mode = -1;
-  /// Entry-table capacity of the created archive.
-  std::size_t archive_capacity = pario::kDefaultArchiveCapacity;
   /// Windows per archive commit: compressed models are buffered and
   /// appended in batches of this size through archive_append_models, so K
   /// windows cost one bracketing fsync pair instead of K. A crash loses at

@@ -4,7 +4,9 @@
 ///
 /// Instead of paying for the full unfolding — the O(Jn · J/P) Gram or the
 /// full-width TSQR — this route recovers the leading left singular subspace
-/// of Y(n) from a width-w sketch, w = rank + oversample << Jn:
+/// of Y(n) from a width-w sketch, w = rank + oversample << Jn. The seed,
+/// oversampling, power-iteration count, eps-driven width target and Auto's
+/// eps gate are fixed constants (below), not options:
 ///
 ///   1. Sketch: S = Y(n) · Omega with a counter-based Gaussian test matrix
 ///      Omega (Jhat_n x w). Each rank evaluates the Omega rows of its own
@@ -14,10 +16,11 @@
 ///      of the Jn x w partial replicates S. Cost O(Jn · w · J/(Jn·P)).
 ///   2. Orthonormalize: Q = thin-QR(S), redundant on every rank (S is
 ///      small and replicated — no communication).
-///   3. Optional power iterations (q passes): Z = Y ×n Qᵀ (a TTM), then
-///      S = Y(n) Z(n)ᵀ (cross-Gram against the column-allgathered Z) and
-///      re-orthonormalize — sharpens the subspace when the spectrum decays
-///      slowly, at one TTM + one sketch-width cross-Gram per pass.
+///   3. Power iterations (q = kSketchPowerIterations passes): Z = Y ×n Qᵀ
+///      (a TTM), then S = Y(n) Z(n)ᵀ (cross-Gram against the
+///      column-allgathered Z) and re-orthonormalize — sharpens the subspace
+///      when the spectrum decays slowly, at one TTM + one sketch-width
+///      cross-Gram per pass.
 ///   4. Project + small spectrum: Z = Y ×n Qᵀ, then the existing general
 ///      TSQR tree runs on the *projected* tensor (w-row unfolding — cheap),
 ///      and the redundant SVD of Rᵀ yields the spectrum of B = Qᵀ Y(n) and
@@ -37,29 +40,25 @@
 
 namespace ptucker::dist {
 
-/// Knobs for the randomized route (core::SthosvdOptions::sketch).
-struct SketchOptions {
-  /// Seed of the counter-based test matrix; results are deterministic per
-  /// (seed, mode) and bit-identical for any gemm_threads setting.
-  std::uint64_t seed = 0x5eed;
-  /// Oversampling p: sketch width = target rank + p (clamped to Jn).
-  std::size_t oversample = 8;
-  /// Power-iteration passes q (each one TTM + one sketch cross-Gram).
-  int power_iterations = 1;
-  /// Assumed target rank when selection is eps-driven (no fixed ranks);
-  /// 0 = the Jn/4 heuristic. Ignored under fixed-rank selection.
-  std::size_t rank_guess = 0;
-  /// FactorMethod::Auto considers the sketch only when the eps target is at
-  /// least this loose (tight targets would always trip the eps-tail
-  /// fallback and pay for both routes). Fixed-rank runs ignore it.
-  double auto_min_epsilon = 1e-6;
-};
+/// The randomized route's fixed settings, shared by the sequential oracle
+/// so that both sketch against the same Omega.
+///
+/// Seed of the counter-based test matrix: results are deterministic per
+/// mode and bit-identical for any gemm_threads setting.
+inline constexpr std::uint64_t kSketchSeed = 0x5eed;
+/// Oversampling p: sketch width = target rank + p (clamped to Jn).
+inline constexpr std::size_t kSketchOversample = 8;
+/// Power-iteration passes q (each one TTM + one sketch cross-Gram).
+inline constexpr int kSketchPowerIterations = 1;
+/// FactorMethod::Auto considers the sketch only when the eps target is at
+/// least this loose (tight targets would always trip the eps-tail
+/// fallback and pay for both routes). Fixed-rank runs ignore it.
+inline constexpr double kSketchAutoMinEpsilon = 1e-6;
 
 /// Sketch width for a mode of extent jn: target + oversample, clamped to
 /// jn. \p fixed_rank is the fixed target rank, or 0 for eps-driven
-/// selection (then rank_guess / the Jn/4 heuristic supplies the target).
-[[nodiscard]] std::size_t sketch_width(std::size_t jn, std::size_t fixed_rank,
-                                       const SketchOptions& options);
+/// selection (then the target is Jn/4).
+[[nodiscard]] std::size_t sketch_width(std::size_t jn, std::size_t fixed_rank);
 
 struct SketchFactorResult {
   /// eigenvalues are the sketch spectrum λ_i(B) (length = width, not Jn).
@@ -72,16 +71,13 @@ struct SketchFactorResult {
   /// (residual_energy alone exceeds it) — the caller must fall back to an
   /// exact route. Always true under fixed-rank selection.
   bool certified = true;
-  std::size_t width = 0;
-  int power_iterations = 0;
-  std::uint64_t seed = 0;
 };
 
 /// Collective: factor matrix via the randomized sketch. Every rank returns
-/// bitwise-identical results; the subspace is reproducible per (seed, mode)
-/// on any grid.
-[[nodiscard]] SketchFactorResult factor_via_sketch(
-    const DistTensor& y, int mode, const RankSelection& select,
-    const SketchOptions& options);
+/// bitwise-identical results; the subspace is reproducible per mode on any
+/// grid.
+[[nodiscard]] SketchFactorResult factor_via_sketch(const DistTensor& y,
+                                                   int mode,
+                                                   const RankSelection& select);
 
 }  // namespace ptucker::dist

@@ -10,10 +10,9 @@
 ///  - eig_sym_jacobi: cyclic Jacobi — slower but independently derived, used
 ///    as a cross-check oracle and in bench/ablate_eig_solvers,
 ///  - qr_thin: Householder QR with explicit thin Q,
-///  - left_svd_via_gram / left_svd_via_qr: the two routes to leading left
-///    singular vectors discussed in the paper (Gram route is the paper's
-///    default; the QR route is the Sec. IX numerical-stability option at
-///    roughly twice the cost).
+///  - left_svd_via_qr: leading left singular vectors through QR and a small
+///    SVD, the Sec. IX numerical-stability route (no condition-number
+///    squaring, unlike the Gram route's eig_sym of Y Y^T).
 ///
 /// All matrices are column-major with leading dimensions.
 
@@ -75,11 +74,6 @@ struct JacobiSvd {
 };
 [[nodiscard]] JacobiSvd jacobi_svd(const double* a, std::size_t m,
                                    std::size_t n, std::size_t lda);
-
-/// Left singular vectors of Y (rows x cols, rows <= cols) via the Gram
-/// matrix Y Y^T — the paper's default route. sigma_i = sqrt(max(lambda_i,0)).
-[[nodiscard]] LeftSvd left_svd_via_gram(const double* y, std::size_t rows,
-                                        std::size_t cols, std::size_t ldy);
 
 /// Left singular vectors of Y via QR of Y^T followed by a small Jacobi SVD
 /// of R^T — avoids squaring the condition number (paper Sec. IX).

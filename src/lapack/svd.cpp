@@ -1,32 +1,9 @@
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
-#include "blas/blas.hpp"
 #include "lapack/lapack.hpp"
 #include "util/error.hpp"
 
 namespace ptucker::la {
-
-LeftSvd left_svd_via_gram(const double* y, std::size_t rows, std::size_t cols,
-                          std::size_t ldy) {
-  PT_REQUIRE(rows >= 1, "left_svd_via_gram: empty matrix");
-  // S = Y Y^T (rows x rows), then eigendecompose. This is the paper's
-  // default: appropriate when the target accuracy is well above
-  // sqrt(machine epsilon) (Sec. II-B discussion).
-  std::vector<double> s(rows * rows, 0.0);
-  blas::syrk_full(blas::Trans::No, rows, cols, 1.0, y, ldy, 0.0, s.data(),
-                  rows);
-  SymEig eig = eig_sym(s.data(), rows, rows);
-  LeftSvd out;
-  out.rows = rows;
-  out.u = std::move(eig.vectors);
-  out.singular_values.resize(rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    out.singular_values[i] = std::sqrt(std::max(0.0, eig.values[i]));
-  }
-  return out;
-}
 
 LeftSvd left_svd_via_qr(const double* y, std::size_t rows, std::size_t cols,
                         std::size_t ldy) {

@@ -96,15 +96,13 @@ class Comm {
   }
 
   /// Record one top-level collective call into this rank's schedule
-  /// fingerprint for this communicator's context. No-op unless
-  /// Universe::set_verify_schedule(true); calls nested inside another
-  /// collective (e.g. the reduce-scatter inside all-reduce) are suppressed
-  /// with the same rule OpScope uses for traffic attribution. Collectives
-  /// call this at entry, before any early return, so a P==1 call still
-  /// counts. \p bytes must be a value every member computes identically
-  /// (pass 0 for varied-size collectives).
+  /// fingerprint for this communicator's context. Calls nested inside
+  /// another collective (e.g. the reduce-scatter inside all-reduce) are
+  /// suppressed with the same rule OpScope uses for traffic attribution.
+  /// Collectives call this at entry, before any early return, so a P==1
+  /// call still counts. \p bytes must be a value every member computes
+  /// identically (pass 0 for varied-size collectives).
   void note_collective(OpKind kind, std::uint64_t bytes) const {
-    if (!state_->universe->verify_schedule_enabled()) return;
     if (current_op() != OpKind::P2P) return;
     state_->universe->fingerprint_record(my_world_rank(), state_->context,
                                          kind, bytes);

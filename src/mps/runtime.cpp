@@ -62,11 +62,9 @@ void Runtime::run(const std::function<void(Comm&)>& body) {
   // this check precedes assert_quiescent: the leak names the op, the
   // quiescence failure would only name the symptom.
   universe_->assert_no_async_leaks();
-  if (universe_->verify_schedule_enabled()) {
-    // Before assert_quiescent: a divergent schedule usually leaks messages
-    // too, and the schedule diagnosis is the actionable one.
-    universe_->verify_schedule();
-  }
+  // Before assert_quiescent: a divergent schedule usually leaks messages
+  // too, and the schedule diagnosis is the actionable one.
+  universe_->verify_schedule();
   universe_->assert_quiescent();
 }
 
@@ -82,10 +80,6 @@ void Runtime::reset_stats() { universe_->reset_stats(); }
 
 void Runtime::set_recv_timeout_ms(long ms) {
   universe_->set_recv_timeout(std::chrono::milliseconds(ms));
-}
-
-void Runtime::set_verify_schedule(bool on) {
-  universe_->set_verify_schedule(on);
 }
 
 void run(int world_size, const std::function<void(Comm&)>& body) {

@@ -33,7 +33,9 @@ class Runtime {
   [[nodiscard]] int world_size() const;
 
   /// Execute \p body on every rank concurrently; returns when all complete.
-  /// Verifies all mailboxes drained on success.
+  /// On success, verifies that the ranks of each communicator ran the same
+  /// collective schedule (ScheduleMismatchError otherwise) and that all
+  /// mailboxes drained.
   void run(const std::function<void(Comm&)>& body);
 
   /// Communication counters, available between runs.
@@ -44,12 +46,6 @@ class Runtime {
 
   /// Deadlock-detection timeout for blocking receives (default 120 s).
   void set_recv_timeout_ms(long ms);
-
-  /// Debug mode: fingerprint each rank's collective call sequence per
-  /// communicator and verify they match when run() finishes (throws
-  /// ScheduleMismatchError on divergence). Off by default — adds one
-  /// hash-mix per collective call when on.
-  void set_verify_schedule(bool on);
 
   [[nodiscard]] Universe& universe() { return *universe_; }
 

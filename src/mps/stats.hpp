@@ -11,6 +11,8 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -72,7 +74,7 @@ struct CommStats {
   void clear() { *this = CommStats{}; }
 };
 
-/// Thrown by the debug-mode schedule verifier (parcoach-style collective
+/// Thrown by the schedule verifier (parcoach-style collective
 /// matching, see Universe::verify_schedule) when ranks of one communicator
 /// executed divergent collective sequences, caught at finalize instead of
 /// as a deadlock or a silently mismatched reduction.
@@ -107,6 +109,11 @@ struct ContextFingerprint {
   }
   bool operator==(const ContextFingerprint&) const = default;
 };
+
+/// One rank's fingerprints, one entry per communicator context, in the
+/// order the rank first saw each context.
+using ScheduleFingerprints =
+    std::vector<std::pair<std::uint64_t, ContextFingerprint>>;
 
 /// The op kind the calling thread is currently executing (collectives set
 /// this around their p2p traffic so sends are attributed correctly).

@@ -1,5 +1,6 @@
 #include "mps/universe.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace ptucker::mps {
@@ -35,6 +36,9 @@ Universe::Universe(int world_size) : world_size_(world_size) {
   }
   stats_.resize(static_cast<std::size_t>(world_size));
   schedules_.resize(static_cast<std::size_t>(world_size));
+  // Room for the world communicator plus a grid's two per mode, up to
+  // order 7, so the rank threads do not allocate fingerprints.
+  for (auto& s : schedules_) s.contexts.reserve(16);
 }
 
 Mailbox& Universe::mailbox(int world_rank) {
@@ -108,28 +112,53 @@ void Universe::reset_stats() {
   for (auto& s : stats_) s.stats.clear();
 }
 
+namespace {
+
+/// The entry of \p context in one rank's fingerprints, or end().
+template <class Fingerprints>
+auto find_context(Fingerprints& contexts, std::uint64_t context) {
+  return std::find_if(contexts.begin(), contexts.end(),
+                      [&](const auto& e) { return e.first == context; });
+}
+
+ContextFingerprint& context_entry(ScheduleFingerprints& contexts,
+                                  std::uint64_t context) {
+  const auto it = find_context(contexts, context);
+  if (it != contexts.end()) return it->second;
+  return contexts.emplace_back(context, ContextFingerprint{}).second;
+}
+
+}  // namespace
+
 void Universe::fingerprint_seed(int world_rank, std::uint64_t context) {
-  if (!verify_schedule_enabled()) return;
-  schedules_[static_cast<std::size_t>(world_rank)].contexts[context];
+  context_entry(schedules_[static_cast<std::size_t>(world_rank)].contexts,
+                context);
 }
 
 void Universe::fingerprint_record(int world_rank, std::uint64_t context,
                                   OpKind kind, std::uint64_t bytes) {
-  schedules_[static_cast<std::size_t>(world_rank)].contexts[context].mix(
-      kind, bytes);
+  context_entry(schedules_[static_cast<std::size_t>(world_rank)].contexts,
+                context)
+      .mix(kind, bytes);
 }
 
 void Universe::verify_schedule() const {
-  // Group per-rank entries by context, then require every member of a
-  // context to match the first. Ranks that never saw a context (e.g. the
-  // other color of a split) are legitimately absent and not compared.
-  std::map<std::uint64_t, std::pair<int, ContextFingerprint>> reference;
+  // Require every member of a context to match the lowest rank that saw
+  // it. Ranks that never saw a context (e.g. the other color of a split)
+  // are legitimately absent and not compared.
   for (int r = 0; r < world_size_; ++r) {
     for (const auto& [ctx, fp] :
          schedules_[static_cast<std::size_t>(r)].contexts) {
-      auto [it, inserted] = reference.emplace(ctx, std::make_pair(r, fp));
-      if (inserted) continue;
-      const auto& [ref_rank, ref_fp] = it->second;
+      int ref_rank = 0;
+      auto ref = schedules_[0].contexts.end();
+      for (; ref_rank < r; ++ref_rank) {
+        const auto& ref_contexts =
+            schedules_[static_cast<std::size_t>(ref_rank)].contexts;
+        ref = find_context(ref_contexts, ctx);
+        if (ref != ref_contexts.end()) break;
+      }
+      if (ref_rank == r) continue;
+      const ContextFingerprint& ref_fp = ref->second;
       if (fp == ref_fp) continue;
       const auto describe = [](std::ostringstream& out,
                                const ContextFingerprint& f) {
@@ -158,8 +187,8 @@ void Universe::reset_schedule() {
   for (auto& s : schedules_) s.contexts.clear();
 }
 
-const std::map<std::uint64_t, ContextFingerprint>&
-Universe::schedule_fingerprints(int world_rank) const {
+const ScheduleFingerprints& Universe::schedule_fingerprints(
+    int world_rank) const {
   return schedules_[static_cast<std::size_t>(world_rank)].contexts;
 }
 

@@ -59,25 +59,18 @@ class Universe {
   [[nodiscard]] CommStats max_stats() const;  ///< per-field max over ranks
   void reset_stats();
 
-  /// --- collective schedule verification (debug mode) -----------------------
-  /// When enabled, every top-level collective entry mixes (op, payload
-  /// bytes) into a per-rank, per-communicator-context rolling hash, and
-  /// verify_schedule() — run by the Runtime at finalize — checks that all
-  /// ranks sharing a context executed identical sequences. This is the
-  /// matching oracle the planned async-collective engine needs: a rank that
-  /// skips, reorders, or resizes a collective is flagged deterministically
-  /// instead of deadlocking or silently corrupting a reduction.
-  void set_verify_schedule(bool on) {
-    verify_schedule_.store(on, std::memory_order_release);
-  }
-  [[nodiscard]] bool verify_schedule_enabled() const {
-    return verify_schedule_.load(std::memory_order_acquire);
-  }
+  /// --- collective schedule verification (always on) ------------------------
+  /// Every top-level collective entry mixes (op, payload bytes) into a
+  /// per-rank, per-communicator-context rolling hash, and verify_schedule()
+  /// — run by the Runtime at finalize — checks that all ranks sharing a
+  /// context executed identical sequences. A rank that skips, reorders, or
+  /// resizes a collective is flagged deterministically instead of silently
+  /// corrupting a reduction. The cost is a scan of the rank's few contexts
+  /// and one hash mix per collective call.
+  ///
   /// Called by each rank when it constructs a Comm for \p context, so a
   /// member that then never calls a collective still shows up (calls == 0)
-  /// and is distinguishable from "never had this communicator". A no-op
-  /// unless verification is on: the entry is a map node the rank's thread
-  /// allocates and the next run() frees from another thread.
+  /// and is distinguishable from "never had this communicator".
   void fingerprint_seed(int world_rank, std::uint64_t context);
   /// Mix one collective call into \p world_rank's fingerprint for \p context.
   void fingerprint_record(int world_rank, std::uint64_t context, OpKind kind,
@@ -87,8 +80,8 @@ class Universe {
   void verify_schedule() const;
   void reset_schedule();
   /// This rank's per-context fingerprints (tests).
-  [[nodiscard]] const std::map<std::uint64_t, ContextFingerprint>&
-  schedule_fingerprints(int world_rank) const;
+  [[nodiscard]] const ScheduleFingerprints& schedule_fingerprints(
+      int world_rank) const;
 
   /// --- in-flight nonblocking-collective accounting --------------------------
   /// A CollectiveHandle destroyed before completing cannot throw from its
@@ -121,12 +114,12 @@ class Universe {
   std::vector<PaddedStats> stats_;
 
   // Each rank writes only its own entry from its own thread; verify reads
-  // after the join, so no locking is needed.
+  // after the join, so no locking is needed. The constructor reserves room
+  // for a run's contexts, so the rank threads do not allocate here.
   struct alignas(64) PaddedSchedule {
-    std::map<std::uint64_t, ContextFingerprint> contexts;
+    ScheduleFingerprints contexts;
   };
   std::vector<PaddedSchedule> schedules_;
-  std::atomic<bool> verify_schedule_{false};
 
   std::atomic<bool> aborted_{false};
   mutable std::mutex abort_mutex_;

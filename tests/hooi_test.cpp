@@ -80,22 +80,6 @@ TEST(Hooi, RanksStayFixedAcrossSweeps) {
   });
 }
 
-TEST(Hooi, StopsEarlyOnTargetError) {
-  run_ranks(2, [](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, {2, 1, 1});
-    // Exact low-rank data: init already reaches ~0 error.
-    const DistTensor x =
-        data::make_low_rank(grid, Dims{8, 8, 8}, Dims{3, 3, 3}, 15, 0.0);
-    SthosvdOptions init;
-    init.epsilon = 1e-8;
-    HooiOptions opts;
-    opts.max_sweeps = 10;
-    opts.target_error = 1e-6;
-    const auto result = core::hooi(x, init, opts);
-    EXPECT_LE(result.sweeps, 1);
-  });
-}
-
 TEST(Hooi, ExactRecoveryStaysExact) {
   run_ranks(4, [](mps::Comm& comm) {
     auto grid = dist::make_grid(comm, {2, 2, 1});

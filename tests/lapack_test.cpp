@@ -254,26 +254,6 @@ TEST(JacobiSvd, ReconstructsAndOrders) {
   EXPECT_LT(testing::max_diff(rec, a), 1e-10);
 }
 
-TEST(LeftSvd, GramAndQrRoutesAgreeOnSingularValues) {
-  const std::size_t rows = 8;
-  const std::size_t cols = 50;
-  const Matrix y = Matrix::randn(rows, cols, 21);
-  const la::LeftSvd gram = la::left_svd_via_gram(y.data(), rows, cols, rows);
-  const la::LeftSvd qr = la::left_svd_via_qr(y.data(), rows, cols, rows);
-  ASSERT_EQ(gram.singular_values.size(), rows);
-  ASSERT_EQ(qr.singular_values.size(), rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    EXPECT_NEAR(gram.singular_values[i], qr.singular_values[i], 1e-8)
-        << "sigma_" << i;
-  }
-  // Leading subspaces agree: |u_g . u_q| = 1 for well-separated values.
-  for (std::size_t i = 0; i < 3; ++i) {
-    const double d = std::fabs(
-        blas::dot(rows, gram.left_vector(i), qr.left_vector(i)));
-    EXPECT_NEAR(d, 1.0, 1e-6);
-  }
-}
-
 TEST(LeftSvd, QrRouteMoreAccurateOnIllConditionedData) {
   // Construct a wide matrix with tiny trailing singular value; the Gram
   // route squares the condition number, the QR route does not (Sec. IX).

@@ -1,5 +1,5 @@
 /// \file mps_schedule_test.cpp
-/// \brief Collective-schedule verification (the Parcoach-style debug mode):
+/// \brief Collective-schedule verification (Parcoach-style, always on):
 /// every rank fingerprints its (op, comm-context, bytes) sequence, and
 /// Runtime::run flags ranks whose schedules diverged — the bug class where
 /// one rank skips a broadcast and the job deadlocks or leaks messages with
@@ -19,7 +19,7 @@
 namespace ptucker {
 namespace {
 
-using testing::run_ranks;  // verification on, short recv deadline
+using testing::run_ranks;  // short recv deadline
 
 TEST(Schedule, MatchingScheduleVerifiesClean) {
   for (int p : {1, 2, 3, 4}) {
@@ -36,9 +36,9 @@ TEST(Schedule, MatchingScheduleVerifiesClean) {
 
 TEST(Schedule, DivergentBroadcastIsFlagged) {
   // Rank 0 broadcasts (eager send: it completes), rank 1 silently skips it.
-  // Without verification this surfaces as an unconsumed-message
-  // InternalError at finalize; with verification the diagnosis names the
-  // collective instead.
+  // The leftover message would also fail the quiescence check at finalize,
+  // but the schedule check runs first and its diagnosis names the
+  // collective.
   try {
     run_ranks(2, [](mps::Comm& comm) {
       if (comm.rank() == 0) {
@@ -69,20 +69,23 @@ TEST(Schedule, SilentRankIsFlaggedEvenWithZeroCalls) {
                mps::ScheduleMismatchError);
 }
 
-TEST(Schedule, VerificationOffFallsBackToQuiescenceError) {
-  // Same divergence with verification off: the runtime still fails, but
-  // with the generic leaked-message InternalError — demonstrating what the
-  // schedule check adds (ScheduleMismatchError is not an InternalError).
-  // Its own runtime: testing::run_ranks turns verification on.
-  mps::Runtime rt(2);
-  rt.set_recv_timeout_ms(30000);
-  const auto divergent = [](mps::Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<double> buf(4, 1.0);
-      mps::broadcast(comm, std::span<double>(buf), 0);
-    }
-  };
-  EXPECT_THROW(rt.run(divergent), InternalError);
+TEST(Schedule, UnreceivedMessageFailsTheQuiescenceCheck) {
+  // The schedule check fingerprints collectives only: a point-to-point
+  // message no rank receives passes it, and the quiescence check behind it
+  // fails the run with the generic leaked-message InternalError
+  // (ScheduleMismatchError is not an InternalError).
+  try {
+    run_ranks(2, [](mps::Comm& comm) {
+      if (comm.rank() == 0) {
+        const double v = 1.0;
+        comm.send(std::span<const double>(&v, 1), 1, 3);
+      }
+    });
+    FAIL() << "unreceived message not flagged";
+  } catch (const InternalError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("still holds"), std::string::npos) << what;
+  }
 }
 
 TEST(Schedule, SplitColorsMayRunDifferentSchedules) {
@@ -108,7 +111,6 @@ TEST(Schedule, ByteCountMismatchIsFlagged) {
   // Driven through Universe directly because actually exchanging
   // mismatched buffers would fault inside the transport before finalize.
   mps::Universe u(2);
-  u.set_verify_schedule(true);
   u.fingerprint_seed(0, 7);
   u.fingerprint_seed(1, 7);
   u.fingerprint_record(0, 7, mps::OpKind::AllReduce, 64);
@@ -206,7 +208,6 @@ TEST(Schedule, ResetsBetweenRuns) {
   // not be compared against run 2's.
   mps::Runtime rt(2);
   rt.set_recv_timeout_ms(30000);
-  rt.set_verify_schedule(true);
   rt.run([](mps::Comm& comm) { comm.barrier(); });
   EXPECT_NO_THROW(rt.run([](mps::Comm& comm) {
     double v = 1.0;

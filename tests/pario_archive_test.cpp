@@ -558,7 +558,6 @@ TEST(Streaming, BatchedCommitProducesIdenticalArchive) {
       opts.sthosvd.epsilon = 1e-6;
       opts.window = 2;
       opts.commit_every = commit_every;
-      opts.archive_capacity = 4;
       core::StreamingCompressor compressor(comm, dir, archive, opts);
       std::size_t windows = 0;
       while (compressor.compress_next()) ++windows;

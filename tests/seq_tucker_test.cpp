@@ -7,7 +7,6 @@
 namespace ptucker {
 namespace {
 
-using core::seq::FactorMethod;
 using core::seq::SeqOptions;
 using tensor::Dims;
 using tensor::Tensor;
@@ -30,25 +29,6 @@ TEST(SeqSthosvd, ErrorBoundHolds) {
   const auto result = core::seq::seq_st_hosvd(x, opts);
   const Tensor xt = core::seq::seq_reconstruct(result.tucker);
   EXPECT_LE(core::seq::seq_normalized_error(x, xt), 0.25 * 1.0000001);
-}
-
-TEST(SeqSthosvd, SvdQrMethodAgreesWithGramRoute) {
-  // The Sec. IX Gram-free path must yield the same subspaces and errors in
-  // well-conditioned settings.
-  const Tensor x =
-      data::make_low_rank_seq(Dims{6, 8, 7}, Dims{2, 3, 2}, 7, 0.05);
-  SeqOptions gram_opts;
-  gram_opts.epsilon = 1e-3;
-  SeqOptions qr_opts = gram_opts;
-  qr_opts.method = FactorMethod::SvdQr;
-  const auto a = core::seq::seq_st_hosvd(x, gram_opts);
-  const auto b = core::seq::seq_st_hosvd(x, qr_opts);
-  EXPECT_EQ(a.tucker.core.dims(), b.tucker.core.dims());
-  const double err_a = core::seq::seq_normalized_error(
-      x, core::seq::seq_reconstruct(a.tucker));
-  const double err_b = core::seq::seq_normalized_error(
-      x, core::seq::seq_reconstruct(b.tucker));
-  EXPECT_NEAR(err_a, err_b, 1e-7);
 }
 
 TEST(SeqSthosvd, CompressionRatioReported) {

@@ -31,13 +31,12 @@ inline std::function<double(std::span<const std::size_t>)> splitmix_field(
   };
 }
 
-/// Run an SPMD body on \p p ranks with a short deadlock timeout and the
-/// collective-schedule verifier on, so a rank that diverges from its peers'
-/// collective sequence fails the test with ScheduleMismatchError.
+/// Run an SPMD body on \p p ranks with a short deadlock timeout. The
+/// runtime's collective-schedule verifier makes a rank that diverges from
+/// its peers' collective sequence fail the test with ScheduleMismatchError.
 inline void run_ranks(int p, const std::function<void(mps::Comm&)>& body) {
   mps::Runtime rt(p);
   rt.set_recv_timeout_ms(30000);
-  rt.set_verify_schedule(true);
   rt.run(body);
 }
 
