@@ -1,6 +1,7 @@
 #include "pario/layout.hpp"
 
 #include <cstring>
+#include <memory>
 
 #include "obs/registry.hpp"
 #include "util/crc32c.hpp"
@@ -134,6 +135,10 @@ void read_blocked_ranges_into(const File& file, const tensor::Dims& dims,
                  << out.size() << " elements, the request " << out_size);
   if (out_size == 0) return;
 
+  // Per-call scratch for the file-contiguous ranges, grown only. A local,
+  // not a member of the File or of a reader: concurrent callers share those.
+  std::unique_ptr<double[]> scratch;
+  std::size_t scratch_size = 0;
   const int p = grid_size(grid);
   for (int b = 0; b < p; ++b) {
     const std::vector<util::Range> block = block_ranges(dims, grid, b);
@@ -159,13 +164,15 @@ void read_blocked_ranges_into(const File& file, const tensor::Dims& dims,
     const bool verify =
         covered && static_cast<std::size_t>(b) < block_crcs.size();
     const std::uint64_t block_base = offsets[static_cast<std::size_t>(b)];
+    // Check the whole block, as read into `data`, against its stored CRC.
+    const auto verify_block = [&](const double* data, std::size_t count) {
+      verify_crc32c("pario", file, "block " + std::to_string(b), block_base,
+                    block_crcs[static_cast<std::size_t>(b)],
+                    util::crc32c(0, data, count * sizeof(double)));
+    };
     if (whole) {  // grid-matched fast path: the block IS the request
       file.read_at(block_base, out.data(), out_size * sizeof(double));
-      if (verify) {
-        verify_crc32c("pario", file, "block " + std::to_string(b), block_base,
-                      block_crcs[static_cast<std::size_t>(b)],
-                      util::crc32c(0, out.data(), out_size * sizeof(double)));
-      }
+      if (verify) verify_block(out.data(), out_size);
       return;
     }
 
@@ -180,16 +187,30 @@ void read_blocked_ranges_into(const File& file, const tensor::Dims& dims,
       os *= out_dims[n];
     }
 
-    // pread every mode-0 run of the intersection straight into `out`.
-    // Over a fully covered block the runs visit the block's bytes exactly
-    // in order, so the stored CRC can be accumulated run by run.
+    // k = the leading modes on which the intersection spans the whole
+    // block, capped at the last mode. The intersection is then
+    // prod_{n>k} file-contiguous ranges of the block, each is[k] x
+    // prod_{n<k} block[n] elements; a covered block is one range, the
+    // whole block. Each range is one pread into the scratch, whose mode-0
+    // runs are then copied into `out`.
+    std::size_t k = 0;
+    while (k + 1 < order && is[k].size() == block[k].size()) ++k;
+    const std::size_t chunk = is[k].size() * bstride[k];
+    if (chunk > scratch_size) {
+      scratch.reset();  // never hold the old and the new scratch at once
+      scratch = std::make_unique_for_overwrite<double[]>(chunk);
+      scratch_size = chunk;
+    }
+    std::size_t runs_per_range = 1;
+    for (std::size_t n = 1; n <= k; ++n) runs_per_range *= is[n].size();
+
     const std::size_t run = is[0].size();
     std::uint64_t src0 = is[0].lo - block[0].lo;
     std::uint64_t dst0 = is[0].lo - ranges[0].lo;
     std::vector<std::size_t> idx(order, 0);  // tail index within is[1..]
     std::size_t runs = 1;
     for (std::size_t n = 1; n < order; ++n) runs *= is[n].size();
-    std::uint32_t crc = 0;
+    std::uint64_t range_src = 0;
     for (std::size_t r = 0; r < runs; ++r) {
       std::uint64_t src = src0;
       std::uint64_t dst = dst0;
@@ -197,19 +218,19 @@ void read_blocked_ranges_into(const File& file, const tensor::Dims& dims,
         src += (is[n].lo - block[n].lo + idx[n]) * bstride[n];
         dst += (is[n].lo - ranges[n].lo + idx[n]) * ostride[n];
       }
-      file.read_at(block_base + src * sizeof(double), out.data() + dst,
-                   run * sizeof(double));
-      if (verify) {
-        crc = util::crc32c(crc, out.data() + dst, run * sizeof(double));
+      if (r % runs_per_range == 0) {  // the first run of the next range
+        range_src = src;
+        file.read_at(block_base + src * sizeof(double), scratch.get(),
+                     chunk * sizeof(double));
+        // Covered: the one range is the whole block.
+        if (verify) verify_block(scratch.get(), chunk);
       }
+      std::memcpy(out.data() + dst, scratch.get() + (src - range_src),
+                  run * sizeof(double));
       for (std::size_t n = 1; n < order; ++n) {
         if (++idx[n] < is[n].size()) break;
         idx[n] = 0;
       }
-    }
-    if (verify) {
-      verify_crc32c("pario", file, "block " + std::to_string(b), block_base,
-                    block_crcs[static_cast<std::size_t>(b)], crc);
     }
   }
 }

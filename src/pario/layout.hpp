@@ -41,26 +41,28 @@ namespace ptucker::pario::detail {
     std::uint64_t base);
 
 /// Read the hyper-rectangle \p ranges of the global tensor out of a blocked
-/// layout via positioned reads only, straight into the caller's buffer
-/// \p out, a dense first-index-fastest array whose dims are the range
-/// sizes: for every block intersecting the request, the mode-0 runs of the
-/// intersection are pread directly into their destination. A request
-/// matching one block exactly is a single pread. \p out must hold exactly
-/// the request's element count (InvalidArgument otherwise, before any byte
-/// is read). This is the one read core of every blocked container: the
-/// PTB1 and PTZ1 readers and the timestep reader pass the block (or time
-/// slab) they are about to fill, so a read allocates its destination once
-/// and never copies it.
+/// layout via positioned reads only, into the caller's buffer \p out, a
+/// dense first-index-fastest array whose dims are the range sizes. A
+/// request matching one block exactly is a single pread straight into
+/// \p out. Otherwise every block intersecting the request is read as its
+/// file-contiguous ranges, one pread each into a per-call scratch, and the
+/// mode-0 runs are copied out of it: with k the leading modes on which the
+/// intersection spans the whole block, there are prod_{n>k} ranges, so a
+/// block the request covers is one pread. The scratch never exceeds one
+/// block. \p out must hold exactly the request's element count
+/// (InvalidArgument otherwise, before any byte is read). This is the one
+/// read core of every blocked container: the PTB1 and PTZ1 readers and the
+/// timestep reader pass the block (or time slab) they are about to fill, so
+/// a read allocates its destination once.
 ///
 /// \p block_crcs (one stored CRC32C per block, from a version-2 header)
-/// arms verification: any block *fully covered* by the request has its
-/// checksum accumulated across the runs as they are pread (run order over a
-/// covered block is exactly the block's byte order) and mismatches throw
-/// ChecksumError naming the file, block, and byte offset. Blocks only
-/// partially intersected by a redistribution read cannot be verified this
-/// way and are passed through unchecked — grid-matched reads (the serve
-/// path, local reconstruction) always cover whole blocks and are always
-/// verified. Empty = version-1 file, no verification.
+/// arms verification: any block *fully covered* by the request is checked
+/// once against its stored checksum, over the one pread that read it, and
+/// mismatches throw ChecksumError naming the file, block, and byte offset.
+/// Blocks only partially intersected by a redistribution read cannot be
+/// verified this way and are passed through unchecked — grid-matched reads
+/// (the serve path, local reconstruction) always cover whole blocks and are
+/// always verified. Empty = version-1 file, no verification.
 void read_blocked_ranges_into(const File& file, const tensor::Dims& dims,
                               const std::vector<int>& grid,
                               const std::vector<std::uint64_t>& offsets,

@@ -206,28 +206,32 @@ TEST(FaultInjection, Ptt1WriteEnospcThrowsIoError) {
 TEST(FaultInjection, InjectedBitFlipsRaiseChecksumErrorAcrossSeeds) {
   const std::string path = temp_path("ptucker_fault_bitflip.ptb");
   const Dims dims{8, 6, 5};
-  // Single-block file: the payload reads back as one 1920-byte pread, well
-  // past bitflip_min_bytes (a multi-block layout would read in small runs
-  // that the min-bytes gate exempts).
-  run_ranks(1, [&](mps::Comm& comm) {
-    auto grid = dist::make_grid(comm, {1, 1, 1});
-    DistTensor x(grid, dims);
-    x.fill_global(testing::splitmix_field(23));
-    pario::write_dist_tensor(path, x);
-  });
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    pario::faults::FaultPlan plan;
-    plan.seed = seed;
-    plan.path_substr = "ptucker_fault_bitflip";
-    plan.p_read_bitflip = 1.0;
-    // Only payload-sized reads are flipped; the header stays parseable.
-    plan.bitflip_min_bytes = 256;
-    pario::faults::Guard guard(plan);
-    run_ranks(1, [&](mps::Comm& comm) {
-      auto grid = dist::make_grid(comm, {1, 1, 1});
-      EXPECT_THROW((void)pario::read_dist_tensor(grid, path), ChecksumError)
-          << "seed " << seed;
+  // Every block a 1-rank read covers is one pread of the whole block, well
+  // past bitflip_min_bytes: the single-block file reads back as one
+  // 1920-byte pread, the 2-rank one (read onto 1 rank, a redistributing
+  // read) as two 960-byte preads, one per block.
+  for (const std::vector<int>& writer : {std::vector<int>{1, 1, 1},
+                                         std::vector<int>{2, 1, 1}}) {
+    run_ranks(writer[0], [&](mps::Comm& comm) {
+      auto grid = dist::make_grid(comm, writer);
+      DistTensor x(grid, dims);
+      x.fill_global(testing::splitmix_field(23));
+      pario::write_dist_tensor(path, x);
     });
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      pario::faults::FaultPlan plan;
+      plan.seed = seed;
+      plan.path_substr = "ptucker_fault_bitflip";
+      plan.p_read_bitflip = 1.0;
+      // Only payload-sized reads are flipped; the header stays parseable.
+      plan.bitflip_min_bytes = 256;
+      pario::faults::Guard guard(plan);
+      run_ranks(1, [&](mps::Comm& comm) {
+        auto grid = dist::make_grid(comm, {1, 1, 1});
+        EXPECT_THROW((void)pario::read_dist_tensor(grid, path), ChecksumError)
+            << "writer ranks " << writer[0] << ", seed " << seed;
+      });
+    }
   }
   std::filesystem::remove(path);
 }

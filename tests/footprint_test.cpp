@@ -161,6 +161,45 @@ TEST(Footprint, ReadDistTensorAllocatesTheBlockOnce) {
       << " bytes for " << blocks << " bytes of blocks";
 }
 
+TEST(Footprint, RedistributingReadScratchStaysWithinOneFileBlock) {
+  // 64^3 doubles written on 1x1x2 and read on 2x1x1: every 1 MiB
+  // destination block cuts both 1 MiB file blocks, so the read goes through
+  // the per-call scratch. Only rank 0 reads inside the window.
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "ptucker_footprint_redistribute.ptb")
+                               .string();
+  const Dims dims{64, 64, 64};
+  testing::run_ranks(2, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {1, 1, 2});
+    DistTensor x(grid, dims);
+    x.fill_global(testing::splitmix_field(6));
+    pario::write_dist_tensor(path, x);
+  });
+  std::int64_t start = 0;
+  std::int64_t peak = 0;
+  testing::run_ranks(2, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {2, 1, 1});
+    (void)pario::read_dist_tensor(grid, path);  // warm-up
+    comm.barrier();
+    if (comm.rank() == 0) {
+      start = reset_peak();
+      const DistTensor y = pario::read_dist_tensor(grid, path);
+      peak = peak_bytes();
+    }
+    comm.barrier();
+  });
+  std::filesystem::remove(path);
+  // The destination block plus at most one file block of scratch; headers
+  // and the offset table fit in 64 KiB. A whole-file buffer (2 MiB) would
+  // not fit.
+  const std::int64_t block = bytes_of(dims[0] * dims[1] * dims[2] / 2);
+  RecordProperty("peak_growth_bytes", std::to_string(peak - start));
+  EXPECT_GE(peak - start, block);
+  EXPECT_LE(peak - start, 2 * block + 64 * 1024)
+      << "a redistributing read grew the heap by " << (peak - start)
+      << " bytes for a " << block << "-byte destination block";
+}
+
 TEST(Footprint, SthosvdStaysWithinEq2) {
   // 32^4 doubles over a 1x1x1x2 grid: X is u = 4 MiB per rank. Mode 0 keeps
   // 3/4 and mode 1 a quarter, so X plus the first two TTM outputs is

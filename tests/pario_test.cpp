@@ -8,6 +8,7 @@
 #include "core/tucker_io.hpp"
 #include "data/synthetic.hpp"
 #include "dist/grid.hpp"
+#include "obs/registry.hpp"
 #include "pario/block_file.hpp"
 #include "pario/model_io.hpp"
 #include "test_utils.hpp"
@@ -270,6 +271,64 @@ TEST(ParIo, ReadIntoRejectsMismatchedDestination) {
                  InvalidArgument);
   }
   for (double v : out) EXPECT_EQ(v, -1.0);
+  std::filesystem::remove(path);
+}
+
+TEST(ParIo, RedistributingReadPreadsEachFileContiguousRangeOnce) {
+  // 6x5x4 written on 2x2x1: blocks [0,3)|[3,6) x [0,2)|[2,5) x [0,4).
+  const std::string path = temp_path("ptucker_pread_count.ptb");
+  const Dims dims{6, 5, 4};
+  run_ranks(4, [&](mps::Comm& comm) {
+    auto grid = dist::make_grid(comm, {2, 2, 1});
+    DistTensor x(grid, dims);
+    x.fill_global(testing::splitmix_field(17));
+    pario::write_dist_tensor(path, x);
+  });
+  Tensor t(dims);
+  t.fill_from(testing::splitmix_field(17));
+
+  // The v2 header: magic, version, order, dims[3], grid[3], then the offset
+  // table and the CRC table, one u64 per block each.
+  const pario::File file = pario::File::open_read(path);
+  const std::vector<int> grid{2, 2, 1};
+  pario::detail::HeaderReader header(file, 4 + 8 * (2 + 2 * dims.size()));
+  const std::vector<std::uint64_t> offsets = header.u64s(4);
+  const std::vector<std::uint64_t> crcs = header.u64s(4);
+  std::vector<std::uint64_t> packed =
+      pario::detail::block_offsets(dims, grid, header.pos());
+  packed.pop_back();  // the data end
+  ASSERT_EQ(offsets, packed);
+
+  const obs::Counter reads = obs::registry().counter("pario.reads");
+  const obs::Counter checked = obs::registry().counter("pario.crc_checked");
+  struct Case {
+    std::vector<util::Range> ranges;
+    std::uint64_t preads;
+    std::uint64_t crcs_checked;
+  };
+  const Case cases[] = {
+      // Whole tensor: every block is covered, one pread and one CRC each.
+      {{{0, 6}, {0, 5}, {0, 4}}, 4, 4},
+      // Only the last mode cut: one range per block touched.
+      {{{0, 6}, {0, 5}, {1, 3}}, 4, 0},
+      {{{0, 6}, {0, 2}, {1, 3}}, 2, 0},
+      // Mode 1 cut (k = 1): one range per mode-2 index, 4 per block.
+      {{{0, 6}, {1, 4}, {0, 4}}, 16, 0},
+      // Mode 0 cut (k = 0): one range per mode-0 run, 2x4 and 3x4 per block
+      // column.
+      {{{1, 5}, {0, 5}, {0, 4}}, 40, 0},
+  };
+  for (const Case& c : cases) {
+    const Tensor expect = t.subtensor(c.ranges);
+    Tensor out(expect.dims());
+    const std::uint64_t reads0 = reads.value();
+    const std::uint64_t checked0 = checked.value();
+    pario::detail::read_blocked_ranges_into(file, dims, grid, offsets,
+                                            c.ranges, crcs, out.span());
+    EXPECT_EQ(reads.value() - reads0, c.preads) << c.preads;
+    EXPECT_EQ(checked.value() - checked0, c.crcs_checked) << c.preads;
+    EXPECT_EQ(testing::max_diff(expect, out), 0.0) << c.preads;
+  }
   std::filesystem::remove(path);
 }
 
